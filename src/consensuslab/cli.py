@@ -101,12 +101,15 @@ def cmd_analyze(args, parser) -> int:
     spec = eigendecompose_symmetric(A)
     rho = rho_ess(spec)
 
+    # A periodic network has no optima: its eigenvalue -1 puts rho_ess at 1,
+    # which rounding in the eigensolver can shrink to just below 1.
     gs = bs = None
-    try:
-        gs = analysis.optimal_gamma(spec)
-        bs = analysis.optimal_beta(spec)
-    except BadSpectrum:
-        pass
+    if rep.primitive:
+        try:
+            gs = analysis.optimal_gamma(spec)
+            bs = analysis.optimal_beta(spec)
+        except BadSpectrum:
+            pass
     chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
 
     verdict = None
@@ -152,8 +155,9 @@ def cmd_analyze(args, parser) -> int:
             )
         else:
             print(
-                "optimal parameters unavailable: needs a negative smallest "
-                "eigenvalue and essential radius inside (0, 1)"
+                "optimal parameters unavailable: needs a primitive network "
+                "with a negative smallest eigenvalue and essential radius "
+                "inside (0, 1)"
             )
         if verdict is not None:
             if verdict.converges:
@@ -180,7 +184,15 @@ def _model_from_args(args, parser) -> ModelParams:
 
 
 def _model_convergent(A, model: ModelParams) -> tuple[bool, float | None]:
-    """Whether the model settles on A, and its rate when it does."""
+    """Whether the model settles on A, and its rate when it does.
+
+    DeGroot and accelerated averaging keep a root of modulus 1 on a
+    network that is not primitive, so that verdict comes from the exact
+    pattern rather than from eigenvalues that rounding can pull inside
+    the unit circle. MLA is decided by its own criterion.
+    """
+    if model.kind is not ModelKind.MLA and not net.analyze_structure(A).primitive:
+        return False, None
     try:
         spec = eigendecompose_symmetric(A)
         if model.kind is ModelKind.DEGROOT:

@@ -16,6 +16,14 @@ class NotSquare(ConsensusLabError):
     """Weight matrix is not a square 2-D array."""
 
 
+class NonFiniteWeight(ConsensusLabError):
+    """A weight entry is NaN or infinite."""
+
+    def __init__(self, i: int, j: int, value: float):
+        self.i, self.j, self.value = i, j, value
+        super().__init__(f"weight ({i}, {j}) is not finite: {value!r}")
+
+
 class NegativeWeight(ConsensusLabError):
     """A weight entry is negative."""
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BadParameter,
     NegativeWeight,
+    NonFiniteWeight,
     NotSquare,
     ParseError,
     RowSumViolation,
@@ -51,8 +52,9 @@ class StructureReport:
 def validate(weights) -> WeightedAdjacency:
     """Wrap a raw matrix after checking non-negativity and row sums.
 
-    Raises NotSquare, BadParameter (n < 2), NegativeWeight, or
-    RowSumViolation. Row sums must be 1 within 1e-12.
+    Raises NotSquare, BadParameter (n < 2), NonFiniteWeight (NaN or
+    infinite entry), NegativeWeight, or RowSumViolation. Row sums must be
+    1 within 1e-12.
     """
     W = np.array(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -60,6 +62,10 @@ def validate(weights) -> WeightedAdjacency:
     n = W.shape[0]
     if n < 2:
         raise BadParameter(f"need at least 2 agents, got n={n}")
+    nonfinite = np.argwhere(~np.isfinite(W))
+    if nonfinite.size:
+        i, j = map(int, nonfinite[0])
+        raise NonFiniteWeight(i, j, float(W[i, j]))
     neg = np.argwhere(W < 0.0)
     if neg.size:
         i, j = map(int, neg[0])
@@ -73,45 +79,79 @@ def validate(weights) -> WeightedAdjacency:
     return WeightedAdjacency(n=n, weights=W)
 
 
-def _bool_power_all_positive(pattern: np.ndarray, k_max: int) -> int | None:
-    """Smallest k <= k_max with an all-positive boolean pattern power, else None."""
-    P = pattern.copy()
-    for k in range(1, k_max + 1):
-        if P.all():
-            return k
-        P = (P.astype(np.int64) @ pattern.astype(np.int64)) > 0
-    return None
+def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
+    """BFS level of every node reached from node 0 along pattern edges, -1 if none."""
+    level = np.full(pattern.shape[0], -1)
+    level[0] = 0
+    frontier = level == 0
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = pattern[frontier].any(axis=0) & (level < 0)
+        level[frontier] = d
+    return level
+
+
+def _exponent(pattern: np.ndarray) -> int:
+    """Smallest k with an all-positive pattern power, for a primitive pattern.
+
+    Squares the 0/1 pattern until a power is all-positive, then lowers the
+    exponent bit by bit with the stored squares. The search is monotone:
+    for an irreducible pattern, P^k > 0 implies P^(k+1) > 0. Products of
+    0/1 float matrices hold integers <= n, so they are exact under any
+    BLAS summation order.
+    """
+    squares = [pattern.astype(np.float64)]
+    while not squares[-1].all():
+        squares.append((squares[-1] @ squares[-1] > 0.0).astype(np.float64))
+    if len(squares) == 1:
+        return 1
+    # squares[-2] is not all-positive and squares[-1] is: grow the exponent
+    # of squares[-2] by each lower square that keeps the product so
+    k = 1 << (len(squares) - 2)
+    power = squares[-2]
+    for j in range(len(squares) - 3, -1, -1):
+        candidate = (power @ squares[j] > 0.0).astype(np.float64)
+        if not candidate.all():
+            power = candidate
+            k += 1 << j
+    return k + 1
 
 
 def analyze_structure(A: WeightedAdjacency) -> StructureReport:
     """Report symmetry, irreducibility, and primitivity of the weight pattern.
 
-    Irreducibility uses the power-sum test: sum of pattern powers k = 0..n-1
-    entrywise positive. Primitivity searches for an all-positive pattern
-    power up to the sharp bound (n-1)^2 + 1. Both run on the boolean
-    sparsity pattern (entry > 0), never on floating values, so repeated
-    multiplication cannot underflow.
+    Everything runs on the sparsity pattern (entry > 0), never on the
+    floating values, in polynomial time:
+
+    - irreducible: breadth-first search from node 0 reaches every node
+      along the pattern and along its transpose; each frontier step is
+      one vectorised row-any, at most diameter + 1 steps per direction.
+    - primitive: irreducible with period 1, where the period is the gcd
+      of level[u] + 1 - level[v] over the edges (u, v) and level is the
+      BFS depth from node 0 (Denardo, "Periods of connected networks and
+      powers of nonnegative matrices", Math. Oper. Res. 2(1), 1977).
+    - witness_k (primitive only): the smallest all-positive power, found
+      by repeated squaring of the 0/1 pattern and a binary search back
+      down, O(n^3 log n) against the sharp bound (n-1)^2 + 1.
     """
     W = A.weights
-    n = A.n
     symmetric = bool(np.max(np.abs(W - W.T)) <= SYMMETRY_TOL)
 
     pattern = W > 0.0
-    reach = np.eye(n, dtype=bool)
-    P = np.eye(n, dtype=bool)
-    for _ in range(1, n):
-        P = (P.astype(np.int64) @ pattern.astype(np.int64)) > 0
-        reach |= P
-    irreducible = bool(reach.all())
+    level = _bfs_levels(pattern)
+    irreducible = bool((level >= 0).all() and (_bfs_levels(pattern.T) >= 0).all())
 
     witness_k = None
     if irreducible:
-        witness_k = _bool_power_all_positive(pattern, (n - 1) ** 2 + 1)
-    primitive = witness_k is not None
+        u, v = np.nonzero(pattern)
+        period = int(np.gcd.reduce(np.abs(level[u] + 1 - level[v])))
+        if period == 1:
+            witness_k = _exponent(pattern)
     return StructureReport(
         symmetric=symmetric,
         irreducible=irreducible,
-        primitive=primitive,
+        primitive=witness_k is not None,
         witness_k=witness_k,
     )
 

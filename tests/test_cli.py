@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensuslab import make_ring, write_matrix
+from consensuslab import make_ring, validate, write_matrix
 from consensuslab.cli import main
 
 
@@ -40,6 +40,12 @@ class TestValidateCommand:
         p = tmp_path / "bad.txt"
         p.write_text("2\n0.5\n")
         assert main(["validate", "--input", str(p)]) == 2
+
+    def test_nan_weight_fails_validation(self, tmp_path, capsys):
+        p = tmp_path / "nan.txt"
+        p.write_text("2\n0.5 nan\n0.5 0.5\n")
+        assert main(["validate", "--input", str(p)]) == 1
+        assert "(0, 1)" in capsys.readouterr().err
 
     def test_input_and_ring_are_exclusive(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -210,3 +216,33 @@ class TestFigureCommand:
             assert -1.0 <= lam <= 1.0
             D = g * g * lam * lam - 4.0 * (g - 1.0) * lam
             assert abs(D) <= 1e-9
+
+
+def relabelled_rings(n, count, seed):
+    """Pure rings of n agents under seeded random node labellings."""
+    rng = np.random.default_rng(seed)
+    W = make_ring(n, 0.0).weights
+    for _ in range(count):
+        perm = rng.permutation(n)
+        yield validate(W[np.ix_(perm, perm)])
+
+
+class TestPeriodicRingVerdicts:
+    """Verdicts on periodic rings follow the exact pattern, whatever the
+    labelling does to the rounding of the eigenvalue -1."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_every_labelling(self, n, tmp_path, capsys):
+        path = tmp_path / "ring.txt"
+        out = str(tmp_path / "env.csv")
+        for A in relabelled_rings(n, 60, seed=n):
+            write_matrix(A, path)
+            for model in (["degroot"], ["accelerated", "--param", "1.2"]):
+                argv = ["simulate", "--input", str(path), "--model", *model,
+                        "--steps", "5", "--runs", "2", "--out", out]
+                assert main(argv) == 0
+                assert "not convergent" in capsys.readouterr().out
+            assert main(["analyze", "--input", str(path), "--porcelain"]) == 0
+            kv = porcelain(capsys.readouterr().out)
+            assert kv["gamma_star"] == "nan" and kv["beta_star"] == "nan"
+            assert kv["rate_chain_ok"] == "false"

@@ -4,6 +4,7 @@ import pytest
 from consensuslab import (
     BadParameter,
     NegativeWeight,
+    NonFiniteWeight,
     NotSquare,
     ParseError,
     RowSumViolation,
@@ -21,6 +22,70 @@ def bool_power(pattern, k):
     for _ in range(k):
         P = (P.astype(int) @ pattern.astype(int)) > 0
     return P
+
+
+def brute_structure(weights):
+    """(irreducible, primitive, witness_k) by exhaustive boolean powers.
+
+    Irreducible when the powers k = 0..n-1 of the pattern sum to an
+    entrywise-positive matrix; primitive when some power up to the sharp
+    bound (n-1)^2 + 1 is entrywise positive. O(n^5) on periodic inputs,
+    so only for small n.
+    """
+    pattern = np.asarray(weights) > 0.0
+    n = pattern.shape[0]
+    reach = np.eye(n, dtype=bool)
+    P = np.eye(n, dtype=bool)
+    for _ in range(1, n):
+        P = (P.astype(np.int64) @ pattern.astype(np.int64)) > 0
+        reach |= P
+    if not reach.all():
+        return False, False, None
+    P = pattern.copy()
+    for k in range(1, (n - 1) ** 2 + 2):
+        if P.all():
+            return True, True, k
+        P = (P.astype(np.int64) @ pattern.astype(np.int64)) > 0
+    return True, False, None
+
+
+def flags(rep):
+    return rep.irreducible, rep.primitive, rep.witness_k
+
+
+def stochastic(pattern):
+    P = np.asarray(pattern, dtype=float)
+    return validate(P / P.sum(axis=1, keepdims=True))
+
+
+def wielandt(n):
+    """Cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1.
+
+    Primitive with exponent (n-1)^2 + 1, the largest any n-node pattern has.
+    """
+    P = np.zeros((n, n))
+    P[np.arange(n - 1), np.arange(1, n)] = 1.0
+    P[n - 1, 0] = P[n - 1, 1] = 1.0
+    return stochastic(P)
+
+
+def random_patterns(count, seed):
+    """Seeded directed patterns with no empty row; every third one only
+    has edges from class c to class c + 1 (mod k), so many are periodic."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        n = int(rng.integers(2, 10))
+        P = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        if t % 3 == 0:
+            k = int(rng.integers(2, 4))
+            cls = rng.integers(0, k, n)
+            P &= cls[None, :] == (cls[:, None] + 1) % k
+        for i in range(n):
+            if not P[i].any():
+                P[i, rng.integers(n)] = True
+        out.append(stochastic(P))
+    return out
 
 
 class TestValidate:
@@ -50,6 +115,18 @@ class TestValidate:
         with pytest.raises(NegativeWeight) as ei:
             validate([[1.5, -0.5], [0.5, 0.5]])
         assert (ei.value.i, ei.value.j) == (0, 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, value):
+        with pytest.raises(NonFiniteWeight) as ei:
+            validate([[0.5, 0.5], [value, 0.5]])
+        assert (ei.value.i, ei.value.j) == (1, 0)
+        np.testing.assert_equal(ei.value.value, value)
+
+    def test_non_finite_checked_before_sign(self):
+        with pytest.raises(NonFiniteWeight) as ei:
+            validate([[1.5, -0.5], [0.5, np.nan]])
+        assert (ei.value.i, ei.value.j) == (1, 1)
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
@@ -104,6 +181,46 @@ class TestStructure:
                 assert 1 <= rep.witness_k <= (A.n - 1) ** 2 + 1
             else:
                 assert rep.witness_k is None
+
+
+class TestStructureOracle:
+    """analyze_structure against the exhaustive boolean-power oracle."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("s", [0.0, 0.1])
+    def test_rings(self, n, s):
+        A = make_ring(n, s)
+        assert flags(analyze_structure(A)) == brute_structure(A.weights)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_wielandt_reaches_the_sharp_bound(self, n):
+        A = wielandt(n)
+        rep = analyze_structure(A)
+        assert flags(rep) == brute_structure(A.weights)
+        assert rep.witness_k == (n - 1) ** 2 + 1
+
+    def test_random_directed_patterns(self):
+        seen = set()
+        for A in random_patterns(300, seed=11):
+            expect = brute_structure(A.weights)
+            assert flags(analyze_structure(A)) == expect
+            seen.add(expect[:2])
+        # reducible, periodic and primitive patterns all occur
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_corpus(self, corpus20, corpus100):
+        for A, _ in corpus20 + corpus100:
+            assert flags(analyze_structure(A)) == brute_structure(A.weights)
+
+    def test_large_rings_closed_form(self):
+        rep = analyze_structure(make_ring(256, 0.0))
+        assert rep.irreducible and not rep.primitive and rep.witness_k is None
+        # odd pure ring: the walks of length n-1 first join every pair
+        rep = analyze_structure(make_ring(255, 0.0))
+        assert rep.primitive and rep.witness_k == 254
+        # self-loops: the power n/2 first spans the ring
+        rep = analyze_structure(make_ring(256, 0.1))
+        assert rep.primitive and rep.witness_k == 128
 
 
 class TestMakeRing:
