@@ -29,7 +29,7 @@ from .errors import (
     DegenerateSpectrum,
     NotConvergent,
 )
-from .net import SYMMETRY_TOL, WeightedAdjacency
+from .net import WeightedAdjacency, require_symmetric
 from .spectral import Spectrum, rho_ess
 
 # criterion values this close to zero count as the boundary and are
@@ -77,30 +77,59 @@ class BetaStar(NamedTuple):
     rate: float
 
 
-def _roots_sum_product(b: float, c: float) -> tuple[complex, complex, float]:
-    """Roots of z^2 - b z + c = 0 as (plus, minus, discriminant).
+# a discriminant this small relative to the terms it was computed from is
+# pure cancellation noise (see _roots)
+_CANCELLATION_FLOOR = 16.0 * np.finfo(float).eps
 
-    For a non-negative discriminant the larger-magnitude root is taken
-    from the formula and the other from the product c, avoiding
-    cancellation near a double root. A discriminant smaller than the
-    rounding floor of its own computation is pure cancellation noise;
-    taking its square root would split the roots by a spurious
-    O(sqrt(eps)), so such values collapse to an exact double root.
+
+def _roots(b, c):
+    """Roots of z^2 - b z + c = 0, elementwise over broadcast b and c.
+
+    Returns (plus_re, minus_re, im, disc): the roots are plus_re + i*im
+    and minus_re - i*im, so im is zero for a real pair. For a real pair
+    the larger-magnitude root comes from the formula and the other from
+    the product c, avoiding cancellation near a double root. A
+    discriminant smaller than the rounding floor of its own computation
+    is pure cancellation noise; taking its square root would split the
+    roots by a spurious O(sqrt(eps)), so such values collapse to an exact
+    double root. Every branch is computed from sqrt(|disc|) and guarded
+    divisions, so the branches np.where discards raise no warnings.
     """
-    disc = b * b - 4.0 * c
-    if abs(disc) <= 16.0 * np.finfo(float).eps * (b * b + abs(4.0 * c)):
-        return complex(b / 2.0), complex(b / 2.0), disc
-    if disc < 0.0:
-        im = math.sqrt(-disc) / 2.0
-        return complex(b / 2.0, im), complex(b / 2.0, -im), disc
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        plus = (b + sq) / 2.0
-        minus = c / plus if plus != 0.0 else 0.0
-    else:
-        minus = (b - sq) / 2.0
-        plus = c / minus
-    return complex(plus), complex(minus), disc
+    bb = b * b
+    c4 = 4.0 * c
+    disc = bb - c4
+    double = np.abs(disc) <= _CANCELLATION_FLOOR * (bb + np.abs(c4))
+    negative = disc < 0.0
+    conjugate = negative & ~double
+    real = ~(double | negative)
+    sq = np.sqrt(np.abs(disc))
+    up = b >= 0.0
+    big = (b + np.where(up, sq, -sq)) / 2.0
+    nonzero = big != 0.0
+    other = np.where(nonzero, c / np.where(nonzero, big, 1.0), 0.0)
+    half = b / 2.0
+    plus_re = np.where(real, np.where(up, big, other), half)
+    minus_re = np.where(real, np.where(up, other, big), half)
+    im = np.where(conjugate, sq / 2.0, 0.0)
+    return plus_re, minus_re, im, disc
+
+
+def _mla_coefficients(lam, gamma):
+    """Root sum gamma*lam and root product (gamma - 1)*lam of the MLA pair."""
+    return gamma * lam, (gamma - 1.0) * lam
+
+
+def _accelerated_coefficients(lam, beta):
+    """Root sum beta*lam and root product beta - 1 of the accelerated pair."""
+    return beta * lam, beta - 1.0
+
+
+def _mapped_pair(b, c) -> MappedPair:
+    """The kernel's answer for one (b, c); real roots get +0.0 imaginary parts."""
+    plus_re, minus_re, im, disc = (float(v) for v in _roots(b, c))
+    return MappedPair(
+        complex(plus_re, im), complex(minus_re, -im if im else 0.0), disc
+    )
 
 
 def map_eigenvalue(lam: float, gamma: float) -> MappedPair:
@@ -109,8 +138,7 @@ def map_eigenvalue(lam: float, gamma: float) -> MappedPair:
     Root sum is gamma*lam, root product (gamma - 1)*lam. At gamma = 1 the
     pair is exactly {lam, 0}, the DeGroot embedding.
     """
-    plus, minus, disc = _roots_sum_product(gamma * lam, (gamma - 1.0) * lam)
-    return MappedPair(plus, minus, disc)
+    return _mapped_pair(*_mla_coefficients(lam, gamma))
 
 
 def map_eigenvalue_accelerated(lam: float, beta: float) -> MappedPair:
@@ -120,35 +148,36 @@ def map_eigenvalue_accelerated(lam: float, beta: float) -> MappedPair:
     the pair {-1, 1 - beta}, which is why that model cannot settle on a
     periodic network.
     """
-    plus, minus, disc = _roots_sum_product(beta * lam, beta - 1.0)
-    return MappedPair(plus, minus, disc)
+    return _mapped_pair(*_accelerated_coefficients(lam, beta))
 
 
-def lambda_hat_max(lam: float, gamma: float) -> float:
-    """Larger modulus of the two MLA-induced eigenvalues (contour field)."""
-    pair = map_eigenvalue(lam, gamma)
-    return max(abs(pair.lambda_plus), abs(pair.lambda_minus))
+def lambda_hat_max(lam, gamma):
+    """Larger modulus of the two MLA-induced eigenvalues (contour field).
+
+    Elementwise over broadcast lam and gamma; a float for scalar input.
+    """
+    plus_re, minus_re, im, _ = _roots(*_mla_coefficients(lam, gamma))
+    out = np.maximum(np.hypot(plus_re, im), np.hypot(minus_re, im))
+    return float(out) if out.ndim == 0 else out
 
 
-def _non_dominant_moduli(spec: Spectrum, gamma: float, mapper) -> np.ndarray:
-    """Moduli of all mapped eigenvalues except the single dominant root 1.
+def _limiting_modulus(spec: Spectrum, param: float, coefficients) -> float:
+    """Max modulus over all mapped eigenvalues except the dominant root 1.
 
     The dominant eigenvalue maps to {1, other}; which branch carries the 1
     depends on the parameter sign region, so the root closer to 1 is the
-    one dropped.
+    one dropped. Moduli use np.hypot, which rounds exactly as abs() of a
+    Python complex does.
     """
-    w = spec.eigenvalues
-    mods = []
-    first = mapper(float(w[0]), gamma)
-    if abs(first.lambda_plus - 1.0) <= abs(first.lambda_minus - 1.0):
-        mods.append(abs(first.lambda_minus))
+    plus_re, minus_re, im, _ = _roots(*coefficients(spec.eigenvalues, param))
+    plus = np.hypot(plus_re, im)
+    minus = np.hypot(minus_re, im)
+    # the dropped root takes its partner's modulus, so the max ignores it
+    if np.hypot(plus_re[0] - 1.0, im[0]) <= np.hypot(minus_re[0] - 1.0, im[0]):
+        plus[0] = minus[0]
     else:
-        mods.append(abs(first.lambda_plus))
-    for lam in w[1:]:
-        pair = mapper(float(lam), gamma)
-        mods.append(abs(pair.lambda_plus))
-        mods.append(abs(pair.lambda_minus))
-    return np.array(mods)
+        minus[0] = plus[0]
+    return float(np.maximum(plus.max(), minus.max()))
 
 
 def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
@@ -170,7 +199,7 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
     in_range = 0.0 < gamma < 2.0
     converges = in_range and criterion > CRITERION_BOUNDARY_TOL
-    limiting = float(np.max(_non_dominant_moduli(spec, gamma, map_eigenvalue)))
+    limiting = _limiting_modulus(spec, gamma, _mla_coefficients)
     return ConvergenceVerdict(
         converges=converges,
         gamma_in_range=in_range,
@@ -198,9 +227,7 @@ def rho_ess_mla(spec: Spectrum, gamma: float) -> float:
 
 def rho_ess_accelerated(spec: Spectrum, beta: float) -> float:
     """Max modulus over non-dominant accelerated-model eigenvalues at beta."""
-    return float(
-        np.max(_non_dominant_moduli(spec, beta, map_eigenvalue_accelerated))
-    )
+    return _limiting_modulus(spec, beta, _accelerated_coefficients)
 
 
 def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
@@ -234,8 +261,7 @@ def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     For a symmetric weight matrix that is the arithmetic mean of the
     initial states. Requires the dominant eigenvalue to be simple.
     """
-    if float(np.max(np.abs(A.weights - A.weights.T))) > SYMMETRY_TOL:
-        raise AssumptionViolated("consensus value formula needs a symmetric matrix")
+    require_symmetric(A, "consensus value formula")
     w = spec.eigenvalues
     if w.size >= 2 and w[1] > 1.0 - 1e-10:
         raise AssumptionViolated("dominant eigenvalue is not simple")

@@ -10,6 +10,7 @@ is left to external tools.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -99,10 +100,11 @@ def cmd_analyze(args, parser) -> int:
         )
         return 1
     spec = eigendecompose_symmetric(A)
-    rho = rho_ess(spec)
+    # A symmetric irreducible network that is not primitive is bipartite: -1
+    # is an exact eigenvalue, so rho_ess is exactly 1, which rounding in the
+    # eigensolver can shrink to just below 1. Such a network has no optima.
+    rho = rho_ess(spec) if rep.primitive else 1.0
 
-    # A periodic network has no optima: its eigenvalue -1 puts rho_ess at 1,
-    # which rounding in the eigensolver can shrink to just below 1.
     gs = bs = None
     if rep.primitive:
         try:
@@ -280,14 +282,16 @@ def cmd_figure(args, parser) -> int:
             grid_path = os.path.join(out_dir, "contour_grid.csv")
             lams = np.linspace(-1.0, 1.0, 201)
             gams = np.linspace(0.0, 2.0, 201)
+            # one kernel call and one %-format per lambda row: the row
+            # template "lam,g0,%.17g\nlam,g1,%.17g\n..." is lam joined
+            # between the per-gamma cells, which are formatted once
+            cells = [f",{g:.17g},%.17g\n" for g in gams]
             with open(grid_path, "w") as fh:
                 fh.write("lambda,gamma,value\n")
                 for lam in lams:
-                    for g in gams:
-                        fh.write(
-                            f"{lam:.17g},{g:.17g},"
-                            f"{analysis.lambda_hat_max(lam, g):.17g}\n"
-                        )
+                    lam_str = f"{lam:.17g}"
+                    row = analysis.lambda_hat_max(lam, gams).tolist()
+                    fh.write((lam_str + lam_str.join(cells)) % tuple(row))
             written.append(grid_path)
             locus_path = os.path.join(out_dir, "contour_disc_zero.csv")
             with open(locus_path, "w") as fh:
@@ -307,7 +311,9 @@ def cmd_figure(args, parser) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="consensuslab",
         description="Consensus-dynamics laboratory: validate networks, "

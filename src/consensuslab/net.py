@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AssumptionViolated,
     BadParameter,
     NegativeWeight,
     NonFiniteWeight,
@@ -77,6 +78,16 @@ def validate(weights) -> WeightedAdjacency:
         raise RowSumViolation(i, float(sums[i]))
     W.setflags(write=False)
     return WeightedAdjacency(n=n, weights=W)
+
+
+def require_symmetric(A: WeightedAdjacency, needs: str) -> None:
+    """Raise AssumptionViolated naming `needs` unless A is symmetric.
+
+    Symmetric means every entry matches its transpose within SYMMETRY_TOL;
+    results that take the initial mean as the consensus value rely on it.
+    """
+    if float(np.max(np.abs(A.weights - A.weights.T))) > SYMMETRY_TOL:
+        raise AssumptionViolated(f"{needs} needs a symmetric matrix")
 
 
 def _bfs_levels(pattern: np.ndarray) -> np.ndarray:

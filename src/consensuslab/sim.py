@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ModelKind, ModelParams
 from .errors import BadParameter, InsufficientData, NormalizationFailed
-from .net import WeightedAdjacency, validate
+from .net import WeightedAdjacency, require_symmetric, validate
 
 _MASK64 = (1 << 64) - 1
 
@@ -158,12 +158,15 @@ def fit_rate(
     """Fit the geometric decay rate of the distance to consensus.
 
     Runs one trajectory, takes the 2-norm distance to the consensus state
-    (the initial mean; the weight matrix is assumed symmetric so the mean
-    is conserved), and regresses its log against the step index. The
-    window drops the first 10% of steps and every step whose norm sits
-    below 1e-13, where rounding noise dominates. Raises InsufficientData
-    with fewer than 10 usable points, e.g. when started at consensus.
+    (the initial mean, which a symmetric weight matrix conserves), and
+    regresses its log against the step index. The window drops the first
+    10% of steps and every step whose norm sits below 1e-13, where
+    rounding noise dominates. Raises AssumptionViolated on an asymmetric
+    matrix, whose consensus value is not the initial mean, and
+    InsufficientData with fewer than 10 usable points, e.g. when started
+    at consensus.
     """
+    require_symmetric(A, "rate fit")
     x0 = np.asarray(x0, dtype=float)
     traj = simulate_trajectory(A, model, x0, steps)
     x_inf = x0.mean()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from consensuslab import make_ring, validate, write_matrix
-from consensuslab.cli import main
+from consensuslab.cli import build_parser, main
 
 
 def porcelain(out: str) -> dict:
@@ -246,3 +246,10 @@ class TestPeriodicRingVerdicts:
             kv = porcelain(capsys.readouterr().out)
             assert kv["gamma_star"] == "nan" and kv["beta_star"] == "nan"
             assert kv["rate_chain_ok"] == "false"
+            assert kv["rho_ess"] == "1" and kv["degroot_rate"] == "1"
+            assert main(["analyze", "--input", str(path)]) == 0
+            assert "rho_ess(A):  1   (DeGroot rate)" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from consensuslab import (
+    AssumptionViolated,
     BadParameter,
     InsufficientData,
     ModelParams,
@@ -17,6 +18,7 @@ from consensuslab import (
     rho_ess_mla,
     run_batch,
     simulate_trajectory,
+    validate,
 )
 
 
@@ -135,6 +137,13 @@ class TestFitRate:
     def test_consensus_start_has_no_data(self, ring4_loops):
         with pytest.raises(InsufficientData):
             fit_rate(ring4_loops, ModelParams.mla(0.5), np.ones(4), 100)
+
+    def test_rejects_asymmetric_matrix(self):
+        # row-stochastic but not doubly stochastic: the mean is not conserved,
+        # so a fit towards it would report a rate near 1 with r^2 near 0
+        A = validate([[0.2, 0.8, 0.0], [0.3, 0.4, 0.3], [0.0, 0.6, 0.4]])
+        with pytest.raises(AssumptionViolated):
+            fit_rate(A, ModelParams.degroot(), [0.2, 0.7, 0.4], 100)
 
     def test_window_respects_skip_and_floor(self, ring4_loops):
         x0 = np.random.Generator(np.random.Philox(key=4)).uniform(0.0, 1.0, 4)
