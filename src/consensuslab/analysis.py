@@ -371,9 +371,10 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
     sign = 1.0 if lam_ess > 0.0 else -1.0
     for mag in (1e-1, 1e-2, 1e-3):
         gamma = 1.0 + sign * mag
-        if not check_mla_convergence(spec, gamma).converges:
+        verdict = check_mla_convergence(spec, gamma)
+        if not verdict.converges:
             continue
-        improved = rho_ess_mla(spec, gamma)
+        improved = verdict.limiting_eigenvalue_modulus
         if improved < rho - 1e-12:
             return (sign * mag, improved)
     return None

@@ -100,18 +100,16 @@ def cmd_analyze(args, parser) -> int:
         )
         return 1
     spec = eigendecompose_symmetric(A)
-    # A symmetric irreducible network that is not primitive is bipartite: -1
-    # is an exact eigenvalue, so rho_ess is exactly 1, which rounding in the
-    # eigensolver can shrink to just below 1. Such a network has no optima.
-    rho = rho_ess(spec) if rep.primitive else 1.0
+    # on a network that is not primitive rho_ess is exactly 1 and the
+    # optima raise BadSpectrum
+    rho = rho_ess(spec)
 
     gs = bs = None
-    if rep.primitive:
-        try:
-            gs = analysis.optimal_gamma(spec)
-            bs = analysis.optimal_beta(spec)
-        except BadSpectrum:
-            pass
+    try:
+        gs = analysis.optimal_gamma(spec)
+        bs = analysis.optimal_beta(spec)
+    except BadSpectrum:
+        pass
     chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
 
     verdict = None
@@ -119,7 +117,7 @@ def cmd_analyze(args, parser) -> int:
     if args.gamma is not None:
         verdict = analysis.check_mla_convergence(spec, args.gamma)
         if verdict.converges:
-            gamma_rate = analysis.rho_ess_mla(spec, args.gamma)
+            gamma_rate = verdict.limiting_eigenvalue_modulus
 
     if args.porcelain:
         f = _PORCELAIN
@@ -203,8 +201,9 @@ def _model_convergent(A, model: ModelParams) -> tuple[bool, float | None]:
         if model.kind is ModelKind.ACCELERATED:
             rho = analysis.rho_ess_accelerated(spec, model.param)
             return rho < 1.0, rho
-        if analysis.check_mla_convergence(spec, model.param).converges:
-            return True, analysis.rho_ess_mla(spec, model.param)
+        verdict = analysis.check_mla_convergence(spec, model.param)
+        if verdict.converges:
+            return True, verdict.limiting_eigenvalue_modulus
         return False, None
     except ConsensusLabError:
         return False, None
@@ -217,6 +216,13 @@ def cmd_simulate(args, parser) -> int:
         model=model, steps=args.steps, runs=args.runs, seed=args.seed
     )
     summary = sim.run_batch(A, cfg)
+    if summary.first_nonfinite_step is not None:
+        print(
+            f"error: the states overflow at step {summary.first_nonfinite_step}"
+            f" of {args.steps}; no envelope written",
+            file=sys.stderr,
+        )
+        return 1
     try:
         summary.write_csv(args.out)
     except OSError as e:

@@ -59,16 +59,6 @@ class NotSymmetric(ConsensusLabError):
     """Operation requires a symmetric matrix."""
 
 
-class NoConvergence(ConsensusLabError):
-    """Iterative eigensolver failed to reach its target residual."""
-
-    def __init__(self, sweeps: int, residual: float):
-        self.sweeps, self.residual = sweeps, residual
-        super().__init__(
-            f"off-diagonal norm {residual:.3e} after {sweeps} sweeps"
-        )
-
-
 class DominantNotSimple(ConsensusLabError):
     """The dominant eigenvalue 1 is not simple (reducible input)."""
 
@@ -92,7 +82,8 @@ class NotConvergent(ConsensusLabError):
 
 
 class BadSpectrum(ConsensusLabError):
-    """Spectrum outside the admissible range for an optimality formula."""
+    """Spectrum outside the admissible range for an optimality formula, or
+    an eigendecomposition that failed its certificate."""
 
 
 class DegenerateSpectrum(ConsensusLabError):

@@ -14,6 +14,7 @@ is well-defined even for models that oscillate forever.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,15 @@ class TraceSummary:
 
     env_max[k] / env_min[k] bound the deviation from the per-run agent
     mean over all runs and agents at step k (k = 0 is the initial state).
+    When the states overflow, first_nonfinite_step is the first step whose
+    envelope is not finite; the arrays then stop just before it and the
+    final spread is that of the last finite step.
     """
 
     env_max: np.ndarray
     env_min: np.ndarray
     final_max_abs_deviation: np.ndarray
+    first_nonfinite_step: int | None = None
 
     def write_csv(self, path) -> None:
         """Write `k,env_min,env_max` rows, one per step including k = 0."""
@@ -92,7 +97,9 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
 
     Deterministic: identical (A, cfg) always produce bit-identical
     summaries. Initial states are uniform on [init_low, init_high); the
-    memory models start from x(-1) = x(0).
+    memory models start from x(-1) = x(0). A divergent model stops at the
+    first step whose envelope is not finite (see TraceSummary), without
+    raising floating-point warnings.
     """
     n = A.n
     W = A.weights
@@ -103,30 +110,40 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
     env_max = np.empty(cfg.steps + 1)
     env_min = np.empty(cfg.steps + 1)
 
-    def record(k: int, X: np.ndarray) -> None:
+    def record(k: int, X: np.ndarray) -> bool:
         D = X - X.mean(axis=1, keepdims=True)
         env_max[k] = D.max()
         env_min[k] = D.min()
+        return math.isfinite(env_max[k]) and math.isfinite(env_min[k])
 
     record(0, X0)
     kind, param = cfg.model.kind, cfg.model.param
     Xc = X0
     Xp = X0
-    for k in range(1, cfg.steps + 1):
-        if kind is ModelKind.DEGROOT:
-            Xc = Xc @ W.T
-        elif kind is ModelKind.ACCELERATED:
-            Xc, Xp = param * (Xc @ W.T) + (1.0 - param) * Xp, Xc
-        else:
-            Xc, Xp = param * (Xc @ W.T) + (1.0 - param) * (Xp @ W.T), Xc
-        record(k, Xc)
+    first_nonfinite = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.steps + 1):
+            if kind is ModelKind.DEGROOT:
+                Xn = Xc @ W.T
+            elif kind is ModelKind.ACCELERATED:
+                Xn = param * (Xc @ W.T) + (1.0 - param) * Xp
+            else:
+                Xn = param * (Xc @ W.T) + (1.0 - param) * (Xp @ W.T)
+            if not record(k, Xn):
+                first_nonfinite = k
+                env_max, env_min = env_max[:k], env_min[:k]
+                break
+            Xc, Xp = Xn, Xc
 
     D = Xc - Xc.mean(axis=1, keepdims=True)
     final_dev = np.abs(D).max(axis=1)
     for arr in (env_max, env_min, final_dev):
         arr.setflags(write=False)
     return TraceSummary(
-        env_max=env_max, env_min=env_min, final_max_abs_deviation=final_dev
+        env_max=env_max,
+        env_min=env_min,
+        final_max_abs_deviation=final_dev,
+        first_nonfinite_step=first_nonfinite,
     )
 
 

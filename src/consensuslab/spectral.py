@@ -1,10 +1,11 @@
 """Eigendecomposition of symmetric weight matrices and eigenpair verification.
 
-The solver is a cyclic-sweep Jacobi iteration: simple, robust, and fully
-deterministic (fixed sweep order, fixed eigenvector sign convention), which
-keeps every downstream analysis reproducible bit-for-bit on a given
-machine. Network sizes here are small, so no sparse or Krylov machinery
-is warranted.
+The solver is LAPACK's symmetric eigensolver behind `np.linalg.eigh`,
+followed by a stable descending sort and a fixed eigenvector sign
+convention. Every solve is certified: the returned `Spectrum` carries its
+eigen-residual and orthogonality error, and a solve whose certificate
+exceeds `certificate_bound(n)` raises instead of returning. Output is
+bit-identical for a fixed numpy/BLAS build and BLAS thread count.
 
 Spectra of the 2n-by-2n stacked iteration matrix are never computed with a
 general eigensolver. They come from the closed-form quadratic mapping in
@@ -14,17 +15,28 @@ an explicit residual against the block matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import build_augmented
-from .errors import DominantNotSimple, NoConvergence, NotSymmetric
+from .errors import BadSpectrum, DominantNotSimple, NotSymmetric
 from .net import SYMMETRY_TOL, WeightedAdjacency
 
-OFFDIAG_TARGET = 1e-14
-MAX_SWEEPS = 100
+
+def certificate_bound(n: int) -> float:
+    """Rounding bound of an n-by-n symmetric solve: 16 n eps.
+
+    A backward-stable symmetric eigensolver returns the exact eigenpairs
+    of W + E with ||E||_2 <= c n eps ||W||_2, orthonormal to c n eps, and
+    ||W||_2 = 1 for a symmetric row-stochastic W. So c n eps bounds the
+    residual and orthogonality error a solve may show and, by Weyl's
+    inequality, how far each computed eigenvalue may sit from the exact
+    one. c = 16 is twelve times the worst certificate measured on random
+    networks and on pure, self-loop and relabelled rings with n <= 256
+    (1.33 n eps).
+    """
+    return 16.0 * n * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,58 +45,15 @@ class Spectrum:
 
     Column i of `eigenvectors` pairs with `eigenvalues[i]`. For a valid
     symmetric row-stochastic irreducible input the leading eigenvalue is 1
-    and all others lie in [-1, 1).
+    and all others lie in [-1, 1). `residual` is max|W V - V diag(w)| and
+    `orth_error` is max|V^T V - I|, the certificate of the solve; both are
+    NaN on a spectrum built by hand rather than by the solver.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _offdiag_norm(M: np.ndarray) -> float:
-    sq = M * M
-    np.fill_diagonal(sq, 0.0)
-    return math.sqrt(float(sq.sum()))
-
-
-def _jacobi(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps; returns (diagonalized copy, rotation product)."""
-    n = W.shape[0]
-    M = W.copy()
-    V = np.eye(n)
-    for _ in range(MAX_SWEEPS):
-        if _offdiag_norm(M) < OFFDIAG_TARGET:
-            return M, V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if apq == 0.0:
-                    continue
-                diff = M[q, q] - M[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.hypot(theta, 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp, cq = M[:, p].copy(), M[:, q].copy()
-                M[:, p] = c * cp - s * cq
-                M[:, q] = s * cp + c * cq
-                rp, rq = M[p, :].copy(), M[q, :].copy()
-                M[p, :] = c * rp - s * rq
-                M[q, :] = s * rp + c * rq
-                # the rotation is built to annihilate this pivot exactly
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    off = _offdiag_norm(M)
-    if off < OFFDIAG_TARGET:
-        return M, V
-    raise NoConvergence(MAX_SWEEPS, off)
+    residual: float = float("nan")
+    orth_error: float = float("nan")
 
 
 def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
@@ -92,32 +61,44 @@ def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
 
     The input must be symmetric to 1e-12 entrywise. Eigenvalues come back
     sorted descending; eigenvectors are orthonormal columns with the first
-    significant component of each made positive, so identical inputs give
-    identical output arrays.
+    significant component of each made positive. Raises BadSpectrum when
+    LAPACK fails or the residual or orthogonality error of the result
+    exceeds `certificate_bound(n)`.
     """
     W = A.weights
     asym = float(np.max(np.abs(W - W.T)))
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"matrix is asymmetric by {asym:.3e}")
-    M, V = _jacobi(W)
-    vals = np.diag(M).copy()
+    try:
+        vals, vecs = np.linalg.eigh(W)
+    except np.linalg.LinAlgError as e:
+        raise BadSpectrum(f"symmetric eigensolver failed: {e}") from e
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = V[:, order].copy()
-    for i in range(vecs.shape[1]):
-        col = vecs[:, i]
-        sig = np.nonzero(np.abs(col) > 1e-8)[0]
-        if sig.size and col[sig[0]] < 0.0:
-            vecs[:, i] = -col
+    vecs = vecs[:, order]
+    significant = np.abs(vecs) > 1e-8
+    first = vecs[np.argmax(significant, axis=0), np.arange(A.n)]
+    vecs[:, significant.any(axis=0) & (first < 0.0)] *= -1.0
+    residual = float(np.max(np.abs(W @ vecs - vecs * vals)))
+    orth_error = float(np.max(np.abs(vecs.T @ vecs - np.eye(A.n))))
+    bound = certificate_bound(A.n)
+    if not (residual <= bound and orth_error <= bound):
+        raise BadSpectrum(
+            f"eigensolver certificate failed: residual {residual:.3e}, "
+            f"orthogonality error {orth_error:.3e}, bound {bound:.3e}"
+        )
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(vals, vecs, residual, orth_error)
 
 
 def rho_ess(spec: Spectrum) -> float:
     """Essential spectral radius: max modulus over non-dominant eigenvalues.
 
-    Zero when the whole spectrum is 1. Raises DominantNotSimple when a
+    Zero when the whole spectrum is 1. Exactly 1 when a non-dominant
+    eigenvalue lies within `certificate_bound(n)` of modulus 1: the
+    computed spectrum cannot tell such an eigenvalue from the exact -1 of
+    a periodic (bipartite) network. Raises DominantNotSimple when a
     second eigenvalue sits at 1, which signals a reducible network.
     """
     w = spec.eigenvalues
@@ -127,7 +108,8 @@ def rho_ess(spec: Spectrum) -> float:
         raise DominantNotSimple(
             f"second eigenvalue {w[1]!r} is within 1e-10 of 1"
         )
-    return float(np.max(np.abs(w[1:])))
+    rho = float(np.max(np.abs(w[1:])))
+    return 1.0 if rho >= 1.0 - certificate_bound(w.size) else rho
 
 
 def augmented_eigenvector(lam_hat: complex, v) -> np.ndarray:

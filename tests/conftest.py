@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from consensuslab import (
     eigendecompose_symmetric,
     make_ring,
     random_symmetric_stochastic,
+    validate,
 )
+
+LARGE_SIZES = (32, 128, 256)
 
 
 def build_corpus(count, base_seed=0, sizes=range(3, 9)):
@@ -15,6 +19,35 @@ def build_corpus(count, base_seed=0, sizes=range(3, 9)):
         A = random_symmetric_stochastic(sizes[i % len(sizes)], base_seed + i)
         out.append((A, eigendecompose_symmetric(A)))
     return out
+
+
+def relabelled(W, rng):
+    """W under a random node labelling drawn from rng."""
+    perm = rng.permutation(W.shape[0])
+    return validate(W[np.ix_(perm, perm)])
+
+
+def relabelled_rings(n, count, seed):
+    """Pure rings of n agents under seeded random node labellings."""
+    rng = np.random.default_rng(seed)
+    W = make_ring(n, 0.0).weights
+    for _ in range(count):
+        yield relabelled(W, rng)
+
+
+def bipartite_with_loops(n, eps, seed):
+    """Complete bipartite network K(n/2, n/2) with self weight eps, relabelled.
+
+    The spectrum is exactly {1, eps (n - 2 times), 2 eps - 1}, so for
+    eps < 1/7 the smallest eigenvalue carries the essential radius and
+    the second is at most a third of it: the hypotheses of the
+    closed-form gamma*. n = 4 is the paper's self-loop 4-ring.
+    """
+    half = n // 2
+    W = np.zeros((n, n))
+    W[:half, half:] = W[half:, :half] = (1.0 - eps) / half
+    W[np.diag_indices(n)] = eps
+    return relabelled(W, np.random.default_rng(seed))
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +73,14 @@ def corpus100():
 @pytest.fixture(scope="session")
 def corpus20():
     return build_corpus(20, base_seed=500)
+
+
+@pytest.fixture(scope="session")
+def corpus_large():
+    """Random networks, self-loop rings and bipartite networks with self
+    loops at n = 32, 128 and 256, with their spectra."""
+    out = build_corpus(2 * len(LARGE_SIZES), base_seed=900, sizes=LARGE_SIZES)
+    for n in LARGE_SIZES:
+        for A in (make_ring(n, 0.1), bipartite_with_loops(n, 0.1, seed=n)):
+            out.append((A, eigendecompose_symmetric(A)))
+    return out

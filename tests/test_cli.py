@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from consensuslab import make_ring, validate, write_matrix
+from conftest import relabelled_rings
+from consensuslab import make_ring, write_matrix
 from consensuslab.cli import build_parser, main
 
 
@@ -148,6 +149,20 @@ class TestSimulateCommand:
         assert width[-1] >= 0.1 * width[0]
         assert "not convergent" in capsys.readouterr().out
 
+    def test_overflow_fails_loudly(self, tmp_path, capsys):
+        out = tmp_path / "mla.csv"
+        code = main(
+            [
+                "simulate", "--ring", "8", "--model", "mla", "--param", "3",
+                "--steps", "3000", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "overflow at step 561 of 3000" in captured.err
+        assert "nan" not in captured.out
+        assert not out.exists()
+
     def test_zero_steps_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -216,15 +231,6 @@ class TestFigureCommand:
             assert -1.0 <= lam <= 1.0
             D = g * g * lam * lam - 4.0 * (g - 1.0) * lam
             assert abs(D) <= 1e-9
-
-
-def relabelled_rings(n, count, seed):
-    """Pure rings of n agents under seeded random node labellings."""
-    rng = np.random.default_rng(seed)
-    W = make_ring(n, 0.0).weights
-    for _ in range(count):
-        perm = rng.permutation(n)
-        yield validate(W[np.ix_(perm, perm)])
 
 
 class TestPeriodicRingVerdicts:

@@ -12,6 +12,7 @@ from consensuslab import (
     consensus_value,
     eigendecompose_symmetric,
     fit_rate,
+    make_ring,
     optimal_gamma,
     random_symmetric_stochastic,
     rho_ess,
@@ -99,6 +100,30 @@ class TestRunBatch:
             assert int(sk) == k
             assert float(lo) == ts.env_min[k]
             assert float(hi) == ts.env_max[k]
+
+
+class TestDivergentBatch:
+    def test_stops_at_the_first_nonfinite_step(self):
+        A = make_ring(8, 0.0)
+        cfg = SimConfig(model=ModelParams.mla(3.0), steps=3000, runs=20, seed=3)
+        ts = run_batch(A, cfg)
+        k = ts.first_nonfinite_step
+        assert k is not None and 1 < k < 3000
+        assert ts.env_max.size == ts.env_min.size == k
+        assert np.all(np.isfinite(ts.env_max)) and np.all(np.isfinite(ts.env_min))
+        assert np.all(np.isfinite(ts.final_max_abs_deviation))
+        # the finite prefix is exactly the batch run for k - 1 steps
+        short = run_batch(A, SimConfig(model=cfg.model, steps=k - 1, runs=20, seed=3))
+        assert short.first_nonfinite_step is None
+        assert np.array_equal(short.env_max, ts.env_max)
+        assert np.array_equal(short.env_min, ts.env_min)
+        assert np.array_equal(
+            short.final_max_abs_deviation, ts.final_max_abs_deviation
+        )
+
+    def test_convergent_batch_has_no_nonfinite_step(self, ring4_loops):
+        cfg = SimConfig(model=ModelParams.mla(0.5), steps=50, runs=5, seed=1)
+        assert run_batch(ring4_loops, cfg).first_nonfinite_step is None
 
 
 class TestSimulatedConsensus:

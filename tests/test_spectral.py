@@ -1,18 +1,31 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import consensuslab
+from conftest import relabelled_rings
 from consensuslab import (
+    AssumptionViolated,
+    BadSpectrum,
     DominantNotSimple,
     augmented_eigenvector,
     NotSymmetric,
     analyze_structure,
     eigendecompose_symmetric,
+    improving_gamma_exists,
     make_ring,
     map_eigenvalue,
+    optimal_beta,
+    optimal_gamma,
+    random_symmetric_stochastic,
     rho_ess,
     validate,
     verify_augmented_eigenpair,
 )
+from consensuslab.spectral import certificate_bound
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +87,116 @@ class TestEigendecompose:
         W = np.array([[0.2, 0.8], [0.5, 0.5]])
         with pytest.raises(NotSymmetric):
             eigendecompose_symmetric(validate(W))
+
+
+class TestCertificate:
+    def test_every_spectrum_within_bound(self, corpus100):
+        for A, spec in corpus100:
+            assert 0.0 <= spec.residual <= certificate_bound(A.n)
+            assert 0.0 <= spec.orth_error <= certificate_bound(A.n)
+
+    def test_fields_are_the_stated_maxima(self, ring4_loops, ring4_loops_spectrum):
+        w, V = ring4_loops_spectrum.eigenvalues, ring4_loops_spectrum.eigenvectors
+        W = ring4_loops.weights
+        assert ring4_loops_spectrum.residual == np.max(np.abs(W @ V - V * w))
+        assert ring4_loops_spectrum.orth_error == np.max(np.abs(V.T @ V - np.eye(4)))
+
+    def test_solver_failure_is_bad_spectrum(self, ring4_loops, monkeypatch):
+        def fail(W):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(BadSpectrum):
+            eigendecompose_symmetric(ring4_loops)
+
+    def test_inaccurate_eigenvalues_are_rejected(self, ring4_loops, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(W):
+            # orthonormal vectors, eigenvalues off by 1e-12 > 16 * 4 * eps
+            w, V = eigh(W)
+            return w + 1e-12, V
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(BadSpectrum, match="certificate"):
+            eigendecompose_symmetric(ring4_loops)
+
+    def test_non_orthogonal_vectors_are_rejected(self, ring4, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(W):
+            # mixing within the eigenspace of 0 keeps the residual, not V^T V
+            w, V = eigh(W)
+            V[:, 1] += 1e-12 * V[:, 2]
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(BadSpectrum, match="certificate"):
+            eigendecompose_symmetric(ring4)
+
+
+# Decomposes the matrices saved in argv[1] and saves the spectra to argv[2].
+DECOMPOSE = """\
+import sys
+import numpy as np
+from consensuslab import eigendecompose_symmetric, validate
+out = {}
+for key, W in np.load(sys.argv[1]).items():
+    spec = eigendecompose_symmetric(validate(W))
+    out[key + "_values"] = spec.eigenvalues
+    out[key + "_vectors"] = spec.eigenvectors
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_blas_thread_count_determinism(tmp_path):
+    nets = {
+        f"n{n}": random_symmetric_stochastic(n, 700 + n).weights
+        for n in (32, 128, 256)
+    }
+    # repeated eigenvalues: the eigenvectors may span the eigenspace in
+    # another basis, so only the values are compared across thread counts
+    nets["ring"] = make_ring(256, 0.1).weights
+    np.savez(tmp_path / "in.npz", **nets)
+    src = os.path.dirname(os.path.dirname(consensuslab.__file__))
+    runs = {}
+    for threads in ("1", "2"):
+        for rep in range(2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            path = [src, env.get("PYTHONPATH")]
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+            out = tmp_path / f"t{threads}-{rep}.npz"
+            subprocess.run(
+                [sys.executable, "-c", DECOMPOSE, str(tmp_path / "in.npz"), str(out)],
+                env=env, check=True,
+            )
+            runs[threads, rep] = dict(np.load(out))
+    for threads in ("1", "2"):
+        first, second = runs[threads, 0], runs[threads, 1]
+        for key in first:
+            assert np.array_equal(first[key], second[key]), (threads, key)
+    for key in nets:
+        bound = certificate_bound(nets[key].shape[0])
+        for part in ("_values",) if key == "ring" else ("_values", "_vectors"):
+            one, two = runs["1", 0][key + part], runs["2", 0][key + part]
+            assert np.max(np.abs(one - two)) <= bound, (key, part)
+
+
+class TestPeriodicRings:
+    """A pure ring of even length is periodic: -1 is an exact eigenvalue,
+    whatever the node labelling does to its rounding."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    def test_every_labelling_is_exactly_periodic(self, n):
+        for A in relabelled_rings(n, 60, seed=1000 + n):
+            spec = eigendecompose_symmetric(A)
+            assert rho_ess(spec) == 1.0
+            with pytest.raises(BadSpectrum):
+                optimal_gamma(spec)
+            with pytest.raises(BadSpectrum):
+                optimal_beta(spec)
+            with pytest.raises(AssumptionViolated):
+                improving_gamma_exists(spec)
 
 
 class TestRhoEss:
