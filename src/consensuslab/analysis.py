@@ -23,6 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .dynamics import ModelKind, ModelParams
 from .errors import (
     AssumptionViolated,
     BadSpectrum,
@@ -30,11 +31,21 @@ from .errors import (
     NotConvergent,
 )
 from .net import WeightedAdjacency, require_symmetric
-from .spectral import Spectrum, rho_ess
+from .spectral import Spectrum, _require_simple_dominant, rho_ess
 
 # criterion values this close to zero count as the boundary and are
 # classified non-convergent (the criteria are strict inequalities)
 CRITERION_BOUNDARY_TOL = 1e-12
+
+# a leading eigenvalue this far from 1 is not from a row-stochastic matrix
+# at all (a hand-built spectrum): an input guard, not a rounding bound
+_DOMINANT_ONE_TOL = 1e-8
+# eigenvalues and rates this close count as equal in the optima's
+# hypotheses and the improvement search; it does not scale with n, so it
+# exceeds the solve error (certificate_bound) only up to n = 281
+_RATE_TOL = 1e-12
+# lambda_2 + lambda_n this close to 0 leaves no unique essential eigenvalue
+_CANCELLATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,14 +198,16 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     2*gamma*lam_n - lam_n + 1 strictly positive) and also reports the
     brute-force maximum modulus over all mapped non-dominant eigenvalues,
     so the two routes can be cross-checked. Criterion values within 1e-12
-    of zero are classified non-convergent.
+    of zero are classified non-convergent. Raises DominantNotSimple on a
+    reducible network, whose components never reach a common value.
     """
     w = spec.eigenvalues
-    if abs(w[0] - 1.0) > 1e-8:
+    if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:
         raise AssumptionViolated(
             f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
             "row-stochastic network spectrum"
         )
+    _require_simple_dominant(spec)
     lam_n = float(w[-1])
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
     in_range = 0.0 < gamma < 2.0
@@ -230,6 +243,28 @@ def rho_ess_accelerated(spec: Spectrum, beta: float) -> float:
     return _limiting_modulus(spec, beta, _accelerated_coefficients)
 
 
+def model_rate(spec: Spectrum, model: ModelParams) -> float:
+    """Rate of the model on the network: its iteration's essential radius.
+
+    Raises NotConvergent when the model never settles (MLA decided by
+    `check_mla_convergence`; accelerated averaging whenever `rho_ess` is
+    1, as lam = -1 maps to the root -1 for every beta) and
+    DominantNotSimple on a reducible network, the identity included.
+    """
+    _require_simple_dominant(spec)
+    if model.kind is ModelKind.MLA:
+        return rho_ess_mla(spec, model.param)
+    rate = rho_ess(spec)
+    if model.kind is ModelKind.ACCELERATED and rate < 1.0:
+        rate = rho_ess_accelerated(spec, model.param)
+    if not rate < 1.0:
+        raise NotConvergent(
+            f"{model.kind.value} averaging does not converge "
+            f"(essential radius {rate!r})"
+        )
+    return rate
+
+
 def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
     """Whether both roots of z^2 + a z + b lie strictly inside the unit disk.
 
@@ -262,9 +297,7 @@ def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     initial states. Requires the dominant eigenvalue to be simple.
     """
     require_symmetric(A, "consensus value formula")
-    w = spec.eigenvalues
-    if w.size >= 2 and w[1] > 1.0 - 1e-10:
-        raise AssumptionViolated("dominant eigenvalue is not simple")
+    _require_simple_dominant(spec)
     x0 = np.asarray(x0, dtype=float)
     v1 = spec.eigenvectors[:, 0]
     w1 = v1 / v1.sum()
@@ -291,8 +324,8 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     if not 0.0 < rho < 1.0:
         raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
     gamma_star = 2.0 / rho * (math.sqrt(1.0 + rho) - 1.0)
-    hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + 1e-12) and (
-        abs(lam_n + rho) <= 1e-12
+    hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + _RATE_TOL) and (
+        abs(lam_n + rho) <= _RATE_TOL
     )
     if hypotheses_met:
         rate = math.sqrt(1.0 + rho) - 1.0
@@ -355,17 +388,17 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
     """
     w = spec.eigenvalues
     rho = rho_ess(spec)
-    if rho <= 1e-12:
+    if rho <= _RATE_TOL:
         return None
-    if rho >= 1.0 - 1e-12:
+    if rho >= 1.0 - _RATE_TOL:
         raise AssumptionViolated(
             "improvement search needs a primitive network (essential radius < 1)"
         )
     lam_2 = float(w[1])
     lam_n = float(w[-1])
-    if abs(lam_2 + lam_n) <= 1e-10:
+    if abs(lam_2 + lam_n) <= _CANCELLATION_TOL:
         raise DegenerateSpectrum(
-            f"lambda_2 + lambda_n = {lam_2 + lam_n!r} is within 1e-10 of zero"
+            f"lambda_2 + lambda_n = {lam_2 + lam_n!r} is within {_CANCELLATION_TOL:g}"
         )
     lam_ess = lam_2 if abs(lam_2) > abs(lam_n) else lam_n
     sign = 1.0 if lam_ess > 0.0 else -1.0
@@ -375,6 +408,6 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
         if not verdict.converges:
             continue
         improved = verdict.limiting_eigenvalue_modulus
-        if improved < rho - 1e-12:
+        if improved < rho - _RATE_TOL:
             return (sign * mag, improved)
     return None

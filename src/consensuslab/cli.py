@@ -178,35 +178,7 @@ def _model_from_args(args, parser) -> ModelParams:
         return ModelParams.degroot()
     if args.param is None:
         parser.error(f"--param is required for --model {args.model}")
-    if args.model == "accelerated":
-        return ModelParams.accelerated(args.param)
-    return ModelParams.mla(args.param)
-
-
-def _model_convergent(A, model: ModelParams) -> tuple[bool, float | None]:
-    """Whether the model settles on A, and its rate when it does.
-
-    DeGroot and accelerated averaging keep a root of modulus 1 on a
-    network that is not primitive, so that verdict comes from the exact
-    pattern rather than from eigenvalues that rounding can pull inside
-    the unit circle. MLA is decided by its own criterion.
-    """
-    if model.kind is not ModelKind.MLA and not net.analyze_structure(A).primitive:
-        return False, None
-    try:
-        spec = eigendecompose_symmetric(A)
-        if model.kind is ModelKind.DEGROOT:
-            rho = rho_ess(spec)
-            return rho < 1.0, rho
-        if model.kind is ModelKind.ACCELERATED:
-            rho = analysis.rho_ess_accelerated(spec, model.param)
-            return rho < 1.0, rho
-        verdict = analysis.check_mla_convergence(spec, model.param)
-        if verdict.converges:
-            return True, verdict.limiting_eigenvalue_modulus
-        return False, None
-    except ConsensusLabError:
-        return False, None
+    return ModelParams(ModelKind(args.model), args.param)
 
 
 def cmd_simulate(args, parser) -> int:
@@ -233,21 +205,22 @@ def cmd_simulate(args, parser) -> int:
     print(f"wrote {args.out}")
     print(f"initial envelope width: {_HUMAN % width0}")
     print(f"final envelope width:   {_HUMAN % width_end}")
-    convergent, rho = _model_convergent(A, model)
-    if convergent:
-        x0 = sim._substream(args.seed, 0).uniform(0.0, 1.0, A.n)
-        try:
-            fit = sim.fit_rate(A, model, x0, args.steps)
-        except InsufficientData as e:
-            print(f"rate fit skipped: {e}")
-        else:
-            print(
-                f"fitted decay rate: {_HUMAN % fit.fitted_rate} "
-                f"(theory {_HUMAN % rho}, r^2 {_HUMAN % fit.r_squared}, "
-                f"window {fit.window[0]}..{fit.window[1]})"
-            )
-    else:
+    try:
+        rho = analysis.model_rate(eigendecompose_symmetric(A), model)
+    except ConsensusLabError:
         print("model not convergent on this network; no rate fit")
+        return 0
+    x0 = sim._substream(args.seed, 0).uniform(0.0, 1.0, A.n)
+    try:
+        fit = sim.fit_rate(A, model, x0, args.steps)
+    except InsufficientData as e:
+        print(f"rate fit skipped: {e}")
+    else:
+        print(
+            f"fitted decay rate: {_HUMAN % fit.fitted_rate} "
+            f"(theory {_HUMAN % rho}, r^2 {_HUMAN % fit.r_squared}, "
+            f"window {fit.window[0]}..{fit.window[1]})"
+        )
     return 0
 
 

@@ -7,9 +7,10 @@ both the current and the previous states first and mixes the two averages
 (weight gamma), so each agent only needs to remember its own previous
 local average.
 
-The two-vector step functions are the production path. The explicit
-2n-by-2n block matrix is built for verification and spectral cross-checks
-only; iterating it agrees with the step functions to rounding.
+The three rules are written out once, in `_advance`: `step_model` takes
+one step with it and `sim` iterates it through `_states`. The explicit
+2n-by-2n block matrix is built for verification and spectral
+cross-checks only; iterating it agrees with the rules to rounding.
 """
 
 from __future__ import annotations
@@ -60,15 +61,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True, eq=False)
-class AugmentedState:
-    """Stacked state [x(k); x(k-1)] with its step counter."""
-
-    current: np.ndarray
-    previous: np.ndarray
-    k: int = 0
-
-
-@dataclass(frozen=True, eq=False)
 class AugmentedMatrix:
     """The 2n-by-2n block iteration matrix [[gamma A, (1-gamma) A], [I, 0]]."""
 
@@ -86,43 +78,51 @@ def _check_vector(A: WeightedAdjacency, x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def step_degroot(A: WeightedAdjacency, x) -> np.ndarray:
-    """One DeGroot update: the weighted average A x of current states."""
-    x = _check_vector(A, x, "x")
-    return A.weights @ x
+def _advance(model: ModelParams, AX, X_prev, AX_prev):
+    """x(k+1) from A x(k), x(k-1) and A x(k-1); each row is one run.
 
-
-def step_accelerated(A: WeightedAdjacency, beta: float, x, x_prev) -> np.ndarray:
-    """One accelerated-averaging update: beta * A x + (1 - beta) * x_prev."""
-    x = _check_vector(A, x, "x")
-    x_prev = _check_vector(A, x_prev, "x_prev")
-    return beta * (A.weights @ x) + (1.0 - beta) * x_prev
-
-
-def step_mla(A: WeightedAdjacency, gamma: float, x, x_prev) -> np.ndarray:
-    """One MLA update: gamma * A x + (1 - gamma) * A x_prev.
-
-    gamma = 1 collapses to the DeGroot update.
+    The caller takes the products (A x is X @ A^T in rows) and, stepping
+    a trajectory, keeps the product of x(k-1) from the step before.
     """
-    x = _check_vector(A, x, "x")
-    x_prev = _check_vector(A, x_prev, "x_prev")
-    return gamma * (A.weights @ x) + (1.0 - gamma) * (A.weights @ x_prev)
+    if model.kind is ModelKind.DEGROOT:
+        return AX
+    p = model.param
+    if model.kind is ModelKind.ACCELERATED:
+        return p * AX + (1.0 - p) * X_prev
+    return p * AX + (1.0 - p) * AX_prev
+
+
+def _states(A: WeightedAdjacency, model: ModelParams, X0: np.ndarray):
+    """Yield x(1), x(2), ... for the runs in the rows of X0 = x(0) = x(-1).
+
+    Takes one product with the weight matrix per step, when asked for it.
+    """
+    Wt = A.weights.T
+    X_prev = X = X0
+    AX_prev = AX = X0 @ Wt
+    while True:
+        X, X_prev, AX_prev = _advance(model, AX, X_prev, AX_prev), X, AX
+        yield X
+        AX = X @ Wt
 
 
 def step_model(A: WeightedAdjacency, model: ModelParams, x, x_prev) -> np.ndarray:
-    """Dispatch one update of the chosen model on (x, x_prev)."""
-    if model.kind is ModelKind.DEGROOT:
-        return step_degroot(A, x)
-    if model.kind is ModelKind.ACCELERATED:
-        return step_accelerated(A, model.param, x, x_prev)
-    return step_mla(A, model.param, x, x_prev)
+    """One update of the chosen model from x(k) = x and x(k-1) = x_prev.
+
+    DeGroot ignores x_prev; gamma = 1 (MLA) and beta = 1 (accelerated)
+    collapse to the DeGroot update.
+    """
+    x = _check_vector(A, x, "x")
+    x_prev = _check_vector(A, x_prev, "x_prev")
+    Wt = A.weights.T
+    return _advance(model, x @ Wt, x_prev, x_prev @ Wt)
 
 
 def build_augmented(A: WeightedAdjacency, gamma: float) -> AugmentedMatrix:
     """Assemble the explicit block matrix driving the stacked MLA state.
 
-    Multiplying [x(k); x(k-1)] by it equals one step_mla followed by the
-    shift of x(k) into the memory slot. Row sums stay 1 for any gamma.
+    Multiplying [x(k); x(k-1)] by it equals one MLA `step_model` followed
+    by the shift of x(k) into the memory slot. Row sums stay 1 for any gamma.
     """
     n = A.n
     W = A.weights

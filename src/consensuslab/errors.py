@@ -44,6 +44,10 @@ class BadParameter(ConsensusLabError):
     """A scalar argument is outside its admissible range."""
 
 
+class AssumptionViolated(ConsensusLabError):
+    """Input does not satisfy a structural precondition."""
+
+
 class ParseError(ConsensusLabError):
     """A matrix file is malformed."""
 
@@ -59,7 +63,7 @@ class NotSymmetric(ConsensusLabError):
     """Operation requires a symmetric matrix."""
 
 
-class DominantNotSimple(ConsensusLabError):
+class DominantNotSimple(AssumptionViolated):
     """The dominant eigenvalue 1 is not simple (reducible input)."""
 
 
@@ -71,10 +75,6 @@ class DimensionMismatch(ConsensusLabError):
 
 
 # ---------------------------------------------------------------- analysis
-
-
-class AssumptionViolated(ConsensusLabError):
-    """Input does not satisfy a structural precondition."""
 
 
 class NotConvergent(ConsensusLabError):

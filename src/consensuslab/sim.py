@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelParams
+from .dynamics import ModelParams, _states
 from .errors import BadParameter, InsufficientData, NormalizationFailed
 from .net import WeightedAdjacency, require_symmetric, validate
 
@@ -101,11 +101,9 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
     first step whose envelope is not finite (see TraceSummary), without
     raising floating-point warnings.
     """
-    n = A.n
-    W = A.weights
-    X0 = np.empty((cfg.runs, n))
+    X0 = np.empty((cfg.runs, A.n))
     for i in range(cfg.runs):
-        X0[i] = _substream(cfg.seed, i).uniform(cfg.init_low, cfg.init_high, n)
+        X0[i] = _substream(cfg.seed, i).uniform(cfg.init_low, cfg.init_high, A.n)
 
     env_max = np.empty(cfg.steps + 1)
     env_min = np.empty(cfg.steps + 1)
@@ -117,25 +115,17 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
         return math.isfinite(env_max[k]) and math.isfinite(env_min[k])
 
     record(0, X0)
-    kind, param = cfg.model.kind, cfg.model.param
-    Xc = X0
-    Xp = X0
+    X = X0
     first_nonfinite = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.steps + 1):
-            if kind is ModelKind.DEGROOT:
-                Xn = Xc @ W.T
-            elif kind is ModelKind.ACCELERATED:
-                Xn = param * (Xc @ W.T) + (1.0 - param) * Xp
-            else:
-                Xn = param * (Xc @ W.T) + (1.0 - param) * (Xp @ W.T)
-            if not record(k, Xn):
+        for k, X_next in zip(range(1, cfg.steps + 1), _states(A, cfg.model, X0)):
+            if not record(k, X_next):
                 first_nonfinite = k
                 env_max, env_min = env_max[:k], env_min[:k]
                 break
-            Xc, Xp = Xn, Xc
+            X = X_next
 
-    D = Xc - Xc.mean(axis=1, keepdims=True)
+    D = X - X.mean(axis=1, keepdims=True)
     final_dev = np.abs(D).max(axis=1)
     for arr in (env_max, env_min, final_dev):
         arr.setflags(write=False)
@@ -150,22 +140,12 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
 def simulate_trajectory(
     A: WeightedAdjacency, model: ModelParams, x0, steps: int
 ) -> np.ndarray:
-    """States x(0..steps) as rows, starting from x(-1) = x(0) = x0."""
+    """States x(0..steps) as rows from x(-1) = x(0) = x0: a batch of one run."""
     x0 = np.asarray(x0, dtype=float)
-    W = A.weights
     out = np.empty((steps + 1, A.n))
     out[0] = x0
-    kind, param = model.kind, model.param
-    xc = x0
-    xp = x0
-    for k in range(1, steps + 1):
-        if kind is ModelKind.DEGROOT:
-            xc = W @ xc
-        elif kind is ModelKind.ACCELERATED:
-            xc, xp = param * (W @ xc) + (1.0 - param) * xp, xc
-        else:
-            xc, xp = param * (W @ xc) + (1.0 - param) * (W @ xp), xc
-        out[k] = xc
+    for k, X in zip(range(1, steps + 1), _states(A, model, x0[None])):
+        out[k] = X[0]
     return out
 
 
@@ -189,9 +169,9 @@ def fit_rate(
     x_inf = x0.mean()
     norms = np.linalg.norm(traj - x_inf, axis=1)
     k_start = int(np.ceil(FIT_SKIP_FRACTION * steps))
-    ks = np.array(
-        [k for k in range(steps + 1) if k >= k_start and norms[k] >= FIT_NORM_FLOOR]
-    )
+    usable = norms >= FIT_NORM_FLOOR
+    usable[:k_start] = False
+    ks = np.flatnonzero(usable)
     if ks.size < FIT_MIN_POINTS:
         raise InsufficientData(
             f"{ks.size} usable points in the fit window, need {FIT_MIN_POINTS}"

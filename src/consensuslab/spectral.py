@@ -39,6 +39,11 @@ def certificate_bound(n: int) -> float:
     return 16.0 * n * np.finfo(float).eps
 
 
+# an eigenvalue this close to 1 counts as 1: far above the solve error
+# (certificate_bound, up to n = 28,000), far below any gap that matters
+_UNIT_EIGENVALUE_TOL = 1e-10
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Real eigenvalues sorted descending with orthonormal eigenvectors.
@@ -102,14 +107,24 @@ def rho_ess(spec: Spectrum) -> float:
     second eigenvalue sits at 1, which signals a reducible network.
     """
     w = spec.eigenvalues
-    if np.all(np.abs(w - 1.0) <= 1e-10):
+    if np.all(np.abs(w - 1.0) <= _UNIT_EIGENVALUE_TOL):
         return 0.0
-    if w.size >= 2 and w[1] > 1.0 - 1e-10:
-        raise DominantNotSimple(
-            f"second eigenvalue {w[1]!r} is within 1e-10 of 1"
-        )
+    _require_simple_dominant(spec)
     rho = float(np.max(np.abs(w[1:])))
     return 1.0 if rho >= 1.0 - certificate_bound(w.size) else rho
+
+
+def _require_simple_dominant(spec: Spectrum) -> None:
+    """Raise DominantNotSimple when a second eigenvalue sits at 1.
+
+    For a symmetric row-stochastic matrix that means a reducible network,
+    whose components settle apart: no single rate or consensus value.
+    """
+    w = spec.eigenvalues
+    if w.size >= 2 and w[1] > 1.0 - _UNIT_EIGENVALUE_TOL:
+        raise DominantNotSimple(
+            f"second eigenvalue {w[1]!r} is within {_UNIT_EIGENVALUE_TOL:g} of 1"
+        )
 
 
 def augmented_eigenvector(lam_hat: complex, v) -> np.ndarray:

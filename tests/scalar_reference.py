@@ -1,8 +1,9 @@
-"""Scalar reference for the root mapping: one Python call per eigenvalue.
+"""Reference formulations the library's shared kernels must match bit for bit.
 
-This is the per-eigenvalue formulation the array kernel in
-`consensuslab.analysis` replaced. It stays here as the oracle the kernel
-must match bit for bit.
+The root mapping, one Python call per eigenvalue: the formulation the
+array kernel in `consensuslab.analysis` replaced. And the simulator with
+each model's update rule written out in its own loop branch: the
+formulation the single update kernel in `consensuslab.dynamics` replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from consensuslab.analysis import (
     MappedPair,
     _golden_section_min,
 )
+from consensuslab.dynamics import ModelKind
+from consensuslab.sim import TraceSummary, _substream
 from consensuslab.spectral import rho_ess
 
 
@@ -93,3 +96,68 @@ def optimal_beta(spec) -> BetaStar:
         lambda b: rho_ess_accelerated(spec, b), 0.0, 2.0, 1e-10
     )
     return BetaStar(beta=beta, rate=rate)
+
+
+def run_batch(A, cfg) -> TraceSummary:
+    """The batch simulator, stepping each model in its own branch."""
+    n = A.n
+    W = A.weights
+    X0 = np.empty((cfg.runs, n))
+    for i in range(cfg.runs):
+        X0[i] = _substream(cfg.seed, i).uniform(cfg.init_low, cfg.init_high, n)
+
+    env_max = np.empty(cfg.steps + 1)
+    env_min = np.empty(cfg.steps + 1)
+
+    def record(k, X):
+        D = X - X.mean(axis=1, keepdims=True)
+        env_max[k] = D.max()
+        env_min[k] = D.min()
+        return math.isfinite(env_max[k]) and math.isfinite(env_min[k])
+
+    record(0, X0)
+    kind, param = cfg.model.kind, cfg.model.param
+    Xc = X0
+    Xp = X0
+    first_nonfinite = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.steps + 1):
+            if kind is ModelKind.DEGROOT:
+                Xn = Xc @ W.T
+            elif kind is ModelKind.ACCELERATED:
+                Xn = param * (Xc @ W.T) + (1.0 - param) * Xp
+            else:
+                Xn = param * (Xc @ W.T) + (1.0 - param) * (Xp @ W.T)
+            if not record(k, Xn):
+                first_nonfinite = k
+                env_max, env_min = env_max[:k], env_min[:k]
+                break
+            Xc, Xp = Xn, Xc
+
+    D = Xc - Xc.mean(axis=1, keepdims=True)
+    return TraceSummary(
+        env_max=env_max,
+        env_min=env_min,
+        final_max_abs_deviation=np.abs(D).max(axis=1),
+        first_nonfinite_step=first_nonfinite,
+    )
+
+
+def simulate_trajectory(A, model, x0, steps: int) -> np.ndarray:
+    """One trajectory with matrix-vector products, each model in its own branch."""
+    x0 = np.asarray(x0, dtype=float)
+    W = A.weights
+    out = np.empty((steps + 1, A.n))
+    out[0] = x0
+    kind, param = model.kind, model.param
+    xc = x0
+    xp = x0
+    for k in range(1, steps + 1):
+        if kind is ModelKind.DEGROOT:
+            xc = W @ xc
+        elif kind is ModelKind.ACCELERATED:
+            xc, xp = param * (W @ xc) + (1.0 - param) * xp, xc
+        else:
+            xc, xp = param * (W @ xc) + (1.0 - param) * (W @ xp), xc
+        out[k] = xc
+    return out

@@ -22,6 +22,7 @@ from consensuslab import (
     make_ring,
     map_eigenvalue,
     map_eigenvalue_accelerated,
+    model_rate,
     optimal_beta,
     optimal_gamma,
     rho_ess,
@@ -253,6 +254,40 @@ class TestRhoEssMla:
         spec = eigendecompose_symmetric(ring4)
         with pytest.raises(NotConvergent):
             rho_ess_mla(spec, 1.0)
+
+
+class TestModelRate:
+    def test_each_model_reads_its_own_radius(self, corpus20):
+        for _, spec in corpus20:
+            rho = rho_ess(spec)
+            assert model_rate(spec, ModelParams.degroot()) == rho
+            for beta in (0.5, 1.2):
+                want = rho_ess_accelerated(spec, beta)
+                assert model_rate(spec, ModelParams.accelerated(beta)) == want
+            for gamma in (0.5, 1.0, 1.3):
+                if check_mla_convergence(spec, gamma).converges:
+                    want = rho_ess_mla(spec, gamma)
+                    assert model_rate(spec, ModelParams.mla(gamma)) == want
+
+    def test_pure_ring(self, ring4):
+        spec = eigendecompose_symmetric(ring4)
+        assert model_rate(spec, ModelParams.mla(0.5)) == pytest.approx(
+            math.sqrt(0.5), abs=1e-12
+        )
+        for model in (
+            ModelParams.degroot(),
+            ModelParams.accelerated(0.5),
+            ModelParams.accelerated(1.2),
+            ModelParams.mla(1.0),
+        ):
+            with pytest.raises(NotConvergent):
+                model_rate(spec, model)
+
+    def test_parameters_outside_the_convergent_range(self, ring4_loops_spectrum):
+        # beta = 2.5 puts the root product 1.5 outside the unit disk
+        for model in (ModelParams.accelerated(2.5), ModelParams.mla(2.0)):
+            with pytest.raises(NotConvergent):
+                model_rate(ring4_loops_spectrum, model)
 
 
 class TestLambdaHatMax:

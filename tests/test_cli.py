@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import relabelled_rings
-from consensuslab import make_ring, write_matrix
+from consensuslab import make_ring, validate, write_matrix
 from consensuslab.cli import build_parser, main
 
 
@@ -148,6 +148,20 @@ class TestSimulateCommand:
         ks, width = read_envelope(out)
         assert width[-1] >= 0.1 * width[0]
         assert "not convergent" in capsys.readouterr().out
+
+    def test_reducible_network_is_not_convergent(self, tmp_path, capsys):
+        # two disconnected 2-agent swap networks: eigenvalues {1, 1, -1, -1}
+        W = np.zeros((4, 4))
+        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+        path = tmp_path / "pair.txt"
+        write_matrix(validate(W), path)
+        for model in (["mla", "--param", "0.5"], ["degroot"]):
+            argv = ["simulate", "--input", str(path), "--model", *model,
+                    "--steps", "50", "--runs", "4", "--out", str(tmp_path / "e.csv")]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "model not convergent on this network; no rate fit" in out
+            assert "fitted decay rate" not in out
 
     def test_overflow_fails_loudly(self, tmp_path, capsys):
         out = tmp_path / "mla.csv"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from consensuslab import (
     AssumptionViolated,
     BadParameter,
     InsufficientData,
     ModelParams,
     SimConfig,
+    WeightedAdjacency,
     analyze_structure,
     check_mla_convergence,
     consensus_value,
@@ -124,6 +126,76 @@ class TestDivergentBatch:
     def test_convergent_batch_has_no_nonfinite_step(self, ring4_loops):
         cfg = SimConfig(model=ModelParams.mla(0.5), steps=50, runs=5, seed=1)
         assert run_batch(ring4_loops, cfg).first_nonfinite_step is None
+
+
+MODELS = (ModelParams.degroot(), ModelParams.accelerated(1.2), ModelParams.mla(0.5))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstLoopReference:
+    """The shared update kernel reproduces the per-model loops bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 256])
+    def test_batch_and_trajectory(self, n):
+        A = make_ring(n, 0.1)
+        x0 = np.random.default_rng(n).uniform(size=n)
+        for model in MODELS:
+            cfg = SimConfig(model=model, steps=60, runs=25, seed=n)
+            self.assert_same_summary(run_batch(A, cfg), ref.run_batch(A, cfg))
+            assert same_bits(
+                simulate_trajectory(A, model, x0, 60),
+                ref.simulate_trajectory(A, model, x0, 60),
+            )
+
+    def test_random_networks(self):
+        for seed in range(6):
+            A = random_symmetric_stochastic(5 + 7 * seed, 40 + seed)
+            x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, A.n)
+            for model in MODELS + (ModelParams.accelerated(0.7), ModelParams.mla(1.3)):
+                cfg = SimConfig(model=model, steps=40, runs=9, seed=seed)
+                self.assert_same_summary(run_batch(A, cfg), ref.run_batch(A, cfg))
+                assert same_bits(
+                    simulate_trajectory(A, model, x0, 40),
+                    ref.simulate_trajectory(A, model, x0, 40),
+                )
+
+    def test_divergent_batch(self):
+        cfg = SimConfig(model=ModelParams.mla(3.0), steps=3000, runs=20, seed=3)
+        A = make_ring(8, 0.0)
+        got = run_batch(A, cfg)
+        assert got.first_nonfinite_step is not None
+        self.assert_same_summary(got, ref.run_batch(A, cfg))
+
+    def test_one_product_per_step(self):
+        # MLA reuses the previous step's product instead of taking a second
+        class Counting(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    Counting.products += 1
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        W = make_ring(6, 0.1).weights
+        A = WeightedAdjacency(n=6, weights=W.view(Counting))
+        for model in MODELS:
+            Counting.products = 0
+            run_batch(A, SimConfig(model=model, steps=30, runs=4, seed=1))
+            assert Counting.products == 30
+            Counting.products = 0
+            simulate_trajectory(A, model, np.arange(6.0), 30)
+            assert Counting.products == 30
+
+    @staticmethod
+    def assert_same_summary(got, want):
+        assert got.first_nonfinite_step == want.first_nonfinite_step
+        assert same_bits(got.env_max, want.env_max)
+        assert same_bits(got.env_min, want.env_min)
+        assert same_bits(got.final_max_abs_deviation, want.final_max_abs_deviation)
 
 
 class TestSimulatedConsensus:

@@ -11,15 +11,21 @@ from consensuslab import (
     AssumptionViolated,
     BadSpectrum,
     DominantNotSimple,
+    ModelParams,
+    NotConvergent,
     augmented_eigenvector,
     NotSymmetric,
     analyze_structure,
+    check_mla_convergence,
+    consensus_value,
     eigendecompose_symmetric,
     improving_gamma_exists,
     make_ring,
     map_eigenvalue,
+    model_rate,
     optimal_beta,
     optimal_gamma,
+    rho_ess_mla,
     random_symmetric_stochastic,
     rho_ess,
     validate,
@@ -197,6 +203,9 @@ class TestPeriodicRings:
                 optimal_beta(spec)
             with pytest.raises(AssumptionViolated):
                 improving_gamma_exists(spec)
+            for model in (ModelParams.degroot(), ModelParams.accelerated(1.2)):
+                with pytest.raises(NotConvergent):
+                    model_rate(spec, model)
 
 
 class TestRhoEss:
@@ -206,8 +215,28 @@ class TestRhoEss:
         assert rho_ess(eigendecompose_symmetric(validate(np.eye(3)))) == 0.0
 
     def test_reducible_input_raises(self, reducible_pair):
+        # the components never reach a common value, for any model
+        spec = eigendecompose_symmetric(reducible_pair)
         with pytest.raises(DominantNotSimple):
-            rho_ess(eigendecompose_symmetric(reducible_pair))
+            rho_ess(spec)
+        with pytest.raises(DominantNotSimple):
+            check_mla_convergence(spec, 0.5)
+        with pytest.raises(DominantNotSimple):
+            rho_ess_mla(spec, 0.5)
+        with pytest.raises(DominantNotSimple):
+            consensus_value(reducible_pair, spec, np.arange(4.0))
+        for model in (
+            ModelParams.degroot(),
+            ModelParams.accelerated(1.2),
+            ModelParams.mla(0.5),
+        ):
+            with pytest.raises(DominantNotSimple):
+                model_rate(spec, model)
+        # the identity is reducible too, although rho_ess reads it as 0
+        with pytest.raises(DominantNotSimple):
+            identity = eigendecompose_symmetric(validate(np.eye(3)))
+            model_rate(identity, ModelParams.degroot())
+        assert issubclass(DominantNotSimple, AssumptionViolated)
 
     def test_below_one_iff_primitive(self, corpus20):
         nets = [A for A, _ in corpus20]
