@@ -22,7 +22,9 @@ from .errors import (
     BadParameter,
     BadSpectrum,
     ConsensusLabError,
+    DominantNotSimple,
     InsufficientData,
+    NotConvergent,
     ParseError,
 )
 from .spectral import eigendecompose_symmetric, rho_ess
@@ -207,8 +209,12 @@ def cmd_simulate(args, parser) -> int:
     print(f"final envelope width:   {_HUMAN % width_end}")
     try:
         rho = analysis.model_rate(eigendecompose_symmetric(A), model)
-    except ConsensusLabError:
+    except (NotConvergent, DominantNotSimple):
+        # a reducible network never reaches one common value either
         print("model not convergent on this network; no rate fit")
+        return 0
+    except ConsensusLabError as e:
+        print(f"rate fit skipped: {e}")
         return 0
     x0 = sim._substream(args.seed, 0).uniform(0.0, 1.0, A.n)
     try:

@@ -100,17 +100,16 @@ def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
 def rho_ess(spec: Spectrum) -> float:
     """Essential spectral radius: max modulus over non-dominant eigenvalues.
 
-    Zero when the whole spectrum is 1. Exactly 1 when a non-dominant
-    eigenvalue lies within `certificate_bound(n)` of modulus 1: the
-    computed spectrum cannot tell such an eigenvalue from the exact -1 of
-    a periodic (bipartite) network. Raises DominantNotSimple when a
-    second eigenvalue sits at 1, which signals a reducible network.
+    Exactly 1 when a non-dominant eigenvalue lies within
+    `certificate_bound(n)` of modulus 1: the computed spectrum cannot tell
+    such an eigenvalue from the exact -1 of a periodic (bipartite)
+    network. Zero for a single eigenvalue. Raises DominantNotSimple when a
+    second eigenvalue sits at 1, which signals a reducible network, the
+    identity included.
     """
-    w = spec.eigenvalues
-    if np.all(np.abs(w - 1.0) <= _UNIT_EIGENVALUE_TOL):
-        return 0.0
     _require_simple_dominant(spec)
-    rho = float(np.max(np.abs(w[1:])))
+    w = spec.eigenvalues
+    rho = float(np.max(np.abs(w[1:]), initial=0.0))
     return 1.0 if rho >= 1.0 - certificate_bound(w.size) else rho
 
 

@@ -1,8 +1,9 @@
 """Reference formulations the library's shared kernels must match bit for bit.
 
-The root mapping, one Python call per eigenvalue: the formulation the
-array kernel in `consensuslab.analysis` replaced. And the simulator with
-each model's update rule written out in its own loop branch: the
+The root mapping, one Python call per eigenvalue with both signed roots:
+the formulation the modulus kernel `_max_root_modulus` and the scalar
+`_root_pair` in `consensuslab.analysis` must reproduce. And the simulator
+with each model's update rule written out in its own loop branch: the
 formulation the single update kernel in `consensuslab.dynamics` replaced.
 """
 

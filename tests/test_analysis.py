@@ -13,6 +13,7 @@ from consensuslab import (
     ModelParams,
     NotConvergent,
     Spectrum,
+    analysis,
     build_augmented,
     check_mla_convergence,
     consensus_value,
@@ -382,6 +383,13 @@ class TestOptimalBeta:
             # true for the symmetric spectra here
             assert achieved <= bs.rate + 1e-6
             assert achieved >= bs.rate - 1e-6 or lam_n > 0
+
+    def test_search_off_the_closed_form_raises(self, ring4_loops_spectrum, monkeypatch):
+        # beta* = 1.25 here; a search landing 1e-5 away is not the minimum
+        off = lambda f, lo, hi, tol: (1.25001, f(1.25001))
+        monkeypatch.setattr(analysis, "_golden_section_min", off)
+        with pytest.raises(BadSpectrum, match="1.25001"):
+            optimal_beta(ring4_loops_spectrum)
 
     def test_rate_vanishes_with_the_radius(self):
         bs = optimal_beta(synthetic_spectrum([1.0, 1e-6, -1e-6]))

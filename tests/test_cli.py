@@ -163,6 +163,18 @@ class TestSimulateCommand:
             assert "model not convergent on this network; no rate fit" in out
             assert "fitted decay rate" not in out
 
+    def test_asymmetric_network_says_why_the_fit_is_skipped(self, tmp_path, capsys):
+        # primitive and convergent, but the rate theory needs symmetric weights
+        W = np.array([[0.2, 0.8, 0.0], [0.3, 0.4, 0.3], [0.0, 0.6, 0.4]])
+        path = tmp_path / "asym.txt"
+        write_matrix(validate(W), path)
+        argv = ["simulate", "--input", str(path), "--model", "degroot",
+                "--steps", "60", "--runs", "4", "--out", str(tmp_path / "e.csv")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert float(lines[2].split(":")[1]) < 1e-12
+        assert lines[3].startswith("rate fit skipped: matrix is asymmetric")
+
     def test_overflow_fails_loudly(self, tmp_path, capsys):
         out = tmp_path / "mla.csv"
         code = main(

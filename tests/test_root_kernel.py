@@ -1,4 +1,4 @@
-"""The array root-mapping kernel against the scalar reference, bit for bit."""
+"""The root-mapping kernels against the scalar reference, bit for bit."""
 
 import math
 
@@ -15,8 +15,9 @@ from consensuslab import (
     optimal_beta,
     rho_ess_accelerated,
 )
-from consensuslab.analysis import _roots
+from consensuslab.analysis import _max_root_modulus
 from consensuslab.cli import main
+from consensuslab.spectral import Spectrum
 
 
 def bits(x):
@@ -58,13 +59,31 @@ coefficients = st.one_of(
 def test_kernel_matches_scalar_reference(pairs):
     b = np.array([p[0] for p in pairs])
     c = np.array([p[1] for p in pairs])
-    plus_re, minus_re, im, disc = _roots(b, c)
+    got = _max_root_modulus(b, c)
     for i, (bi, ci) in enumerate(pairs):
-        plus, minus, d = ref.roots_sum_product(bi, ci)
-        got = (plus_re[i], minus_re[i], im[i], disc[i])
-        want = (plus.real, minus.real, plus.imag, d)
-        assert [bits(v) for v in got] == [bits(v) for v in want]
-        assert minus.imag == -plus.imag
+        plus, minus, _ = ref.roots_sum_product(bi, ci)
+        assert bits(got[i]) == bits(max(abs(plus), abs(minus)))
+
+
+# the dominant eigenvalue a few ulps off 1, and parameters on the edges
+# of the sign regions that decide which of its roots is the dropped 1
+dominants = ulps.map(lambda k: nudged(1.0, k))
+rests = st.lists(st.floats(min_value=-1.0, max_value=0.999), max_size=8)
+params = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 2.5]), ulps.map(lambda k: nudged(2.0, k))
+)
+
+
+@given(dominants, rests, params)
+@settings(max_examples=300, deadline=None)
+def test_dominant_root_matches_scalar_reference(lam0, rest, param):
+    w = np.array([lam0] + sorted(rest, reverse=True))
+    spec = Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
+    mla = ref.non_dominant_moduli(spec, param, ref.map_eigenvalue).max()
+    acc = ref.non_dominant_moduli(spec, param, ref.map_eigenvalue_accelerated).max()
+    got = check_mla_convergence(spec, param).limiting_eigenvalue_modulus
+    assert bits(got) == bits(mla)
+    assert bits(rho_ess_accelerated(spec, param)) == bits(acc)
 
 
 @given(g=gammas, k=ulps)

@@ -31,7 +31,7 @@ from consensuslab import (
     validate,
     verify_augmented_eigenpair,
 )
-from consensuslab.spectral import certificate_bound
+from consensuslab.spectral import Spectrum, certificate_bound
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +212,8 @@ class TestRhoEss:
     def test_examples(self, ring4, ring4_loops_spectrum):
         assert rho_ess(eigendecompose_symmetric(ring4)) == pytest.approx(1.0, abs=1e-10)
         assert rho_ess(ring4_loops_spectrum) == pytest.approx(0.8, abs=1e-10)
-        assert rho_ess(eigendecompose_symmetric(validate(np.eye(3)))) == 0.0
+        # a lone eigenvalue has nothing to decay
+        assert rho_ess(Spectrum(np.array([1.0]), np.eye(1))) == 0.0
 
     def test_reducible_input_raises(self, reducible_pair):
         # the components never reach a common value, for any model
@@ -232,9 +233,11 @@ class TestRhoEss:
         ):
             with pytest.raises(DominantNotSimple):
                 model_rate(spec, model)
-        # the identity is reducible too, although rho_ess reads it as 0
+        # the identity is reducible too: its agents never exchange a value
+        identity = eigendecompose_symmetric(validate(np.eye(3)))
         with pytest.raises(DominantNotSimple):
-            identity = eigendecompose_symmetric(validate(np.eye(3)))
+            rho_ess(identity)
+        with pytest.raises(DominantNotSimple):
             model_rate(identity, ModelParams.degroot())
         assert issubclass(DominantNotSimple, AssumptionViolated)
 
