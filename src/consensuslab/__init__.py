@@ -22,15 +22,8 @@ from .analysis import (
     optimal_gamma,
     rho_ess_accelerated,
     rho_ess_mla,
-    roots_in_unit_disk_via_halfplane,
 )
-from .dynamics import (
-    AugmentedMatrix,
-    ModelKind,
-    ModelParams,
-    build_augmented,
-    step_model,
-)
+from .dynamics import ModelKind, ModelParams
 from .errors import (
     AssumptionViolated,
     BadParameter,
@@ -67,19 +60,12 @@ from .sim import (
     run_batch,
     simulate_trajectory,
 )
-from .spectral import (
-    Spectrum,
-    augmented_eigenvector,
-    eigendecompose_symmetric,
-    rho_ess,
-    verify_augmented_eigenpair,
-)
+from .spectral import Spectrum, eigendecompose_symmetric, rho_ess
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolated",
-    "AugmentedMatrix",
     "BadParameter",
     "BadSpectrum",
     "BetaStar",
@@ -108,8 +94,6 @@ __all__ = [
     "TraceSummary",
     "WeightedAdjacency",
     "analyze_structure",
-    "augmented_eigenvector",
-    "build_augmented",
     "check_mla_convergence",
     "consensus_value",
     "eigendecompose_symmetric",
@@ -127,11 +111,8 @@ __all__ = [
     "rho_ess",
     "rho_ess_accelerated",
     "rho_ess_mla",
-    "roots_in_unit_disk_via_halfplane",
     "run_batch",
     "simulate_trajectory",
-    "step_model",
     "validate",
-    "verify_augmented_eigenpair",
     "write_matrix",
 ]

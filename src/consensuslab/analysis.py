@@ -15,15 +15,20 @@ spectrum or contour row to the larger root modulus in array operations.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelParams
-from .errors import AssumptionViolated, BadSpectrum, DegenerateSpectrum, NotConvergent
+from .dynamics import ModelKind, ModelParams, _check_vector
+from .errors import (
+    AssumptionViolated,
+    BadParameter,
+    BadSpectrum,
+    DegenerateSpectrum,
+    NotConvergent,
+)
 from .net import WeightedAdjacency, require_symmetric
 from .spectral import Spectrum, _require_simple_dominant, rho_ess
 
@@ -135,6 +140,18 @@ def _max_root_modulus(b, c):
     return np.where(double, half, np.where(disc < 0.0, conjugate, real))
 
 
+def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
+    """Raise BadParameter unless the kernels' b*b + |4c| stays finite at |lam|,
+    which also rejects a non-finite lam or param. |b| and |c| grow with
+    |lambda|, so the largest |lambda| of a spectrum or row decides for all."""
+    lam, param = abs(float(lam)), float(param)
+    b, c = coefficients(lam, param)
+    if not math.isfinite(b * b + abs(4.0 * c)):
+        raise BadParameter(
+            f"{name}={param!r} at |lambda| = {lam!r} gives non-finite root coefficients"
+        )
+
+
 def _mla_coefficients(lam, gamma):
     """Root sum gamma*lam and root product (gamma - 1)*lam of the MLA pair."""
     return gamma * lam, (gamma - 1.0) * lam
@@ -151,6 +168,7 @@ def map_eigenvalue(lam: float, gamma: float) -> MappedPair:
     Root sum is gamma*lam, root product (gamma - 1)*lam. At gamma = 1 the
     pair is exactly {lam, 0}, the DeGroot embedding.
     """
+    _check_roots(_mla_coefficients, lam, gamma, "gamma")
     return MappedPair(*_root_pair(*_mla_coefficients(lam, gamma)))
 
 
@@ -161,6 +179,7 @@ def map_eigenvalue_accelerated(lam: float, beta: float) -> MappedPair:
     the pair {-1, 1 - beta}, which is why that model cannot settle on a
     periodic network.
     """
+    _check_roots(_accelerated_coefficients, lam, beta, "beta")
     return MappedPair(*_root_pair(*_accelerated_coefficients(lam, beta)))
 
 
@@ -169,11 +188,12 @@ def lambda_hat_max(lam, gamma):
 
     Elementwise over broadcast lam and gamma; a float for scalar input.
     """
+    _check_roots(_mla_coefficients, np.abs(lam).max(), np.abs(gamma).max(), "gamma")
     out = _max_root_modulus(*_mla_coefficients(lam, gamma))
     return float(out) if out.ndim == 0 else out
 
 
-def _limiting_modulus(spec: Spectrum, param: float, coefficients) -> float:
+def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> float:
     """Max modulus over all mapped eigenvalues except the dominant root 1.
 
     The dominant eigenvalue maps to {1, other}; which branch carries the 1
@@ -181,7 +201,15 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients) -> float:
     is dropped. The rest of the spectrum needs moduli alone.
     """
     w = spec.eigenvalues
-    plus, minus, _ = _root_pair(*coefficients(w[0], param))
+    w0 = float(w[0])
+    if abs(w0 - 1.0) > _DOMINANT_ONE_TOL:
+        raise AssumptionViolated(
+            f"dominant eigenvalue {w0!r} is not 1; input is not a valid "
+            "row-stochastic network spectrum"
+        )
+    _require_simple_dominant(spec)
+    _check_roots(coefficients, max(abs(w0), abs(float(w[-1]))), param, name)
+    plus, minus, _ = _root_pair(*coefficients(w0, param))
     kept = minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus
     moduli = _max_root_modulus(*coefficients(w[1:], param))
     return float(moduli.max(initial=abs(kept)))
@@ -195,26 +223,15 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     brute-force maximum modulus over all mapped non-dominant eigenvalues,
     so the two routes can be cross-checked. Criterion values within 1e-12
     of zero are classified non-convergent. Raises DominantNotSimple on a
-    reducible network, whose components never reach a common value.
+    reducible network, whose components never reach a common value, and
+    BadParameter on a gamma that is not finite or overflows the roots.
     """
-    w = spec.eigenvalues
-    if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:
-        raise AssumptionViolated(
-            f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
-            "row-stochastic network spectrum"
-        )
-    _require_simple_dominant(spec)
-    lam_n = float(w[-1])
+    limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
+    lam_n = float(spec.eigenvalues[-1])
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
     in_range = 0.0 < gamma < 2.0
     converges = in_range and criterion > CRITERION_BOUNDARY_TOL
-    limiting = _limiting_modulus(spec, gamma, _mla_coefficients)
-    return ConvergenceVerdict(
-        converges=converges,
-        gamma_in_range=in_range,
-        criterion_ii_value=criterion,
-        limiting_eigenvalue_modulus=limiting,
-    )
+    return ConvergenceVerdict(converges, in_range, criterion, limiting)
 
 
 def rho_ess_mla(spec: Spectrum, gamma: float) -> float:
@@ -227,16 +244,19 @@ def rho_ess_mla(spec: Spectrum, gamma: float) -> float:
     verdict = check_mla_convergence(spec, gamma)
     if not verdict.converges:
         raise NotConvergent(
-            f"gamma={gamma!r} fails the convergence criteria "
+            f"gamma={float(gamma)!r} fails the convergence criteria "
             f"(in_range={verdict.gamma_in_range}, "
-            f"criterion={verdict.criterion_ii_value!r})"
+            f"criterion={float(verdict.criterion_ii_value)!r})"
         )
     return verdict.limiting_eigenvalue_modulus
 
 
 def rho_ess_accelerated(spec: Spectrum, beta: float) -> float:
-    """Max modulus over non-dominant accelerated-model eigenvalues at beta."""
-    return _limiting_modulus(spec, beta, _accelerated_coefficients)
+    """Max modulus over non-dominant accelerated-model eigenvalues at beta.
+
+    Raises as `check_mla_convergence` does on the spectrum and beta.
+    """
+    return _limiting_modulus(spec, beta, _accelerated_coefficients, "beta")
 
 
 def model_rate(spec: Spectrum, model: ModelParams) -> float:
@@ -260,40 +280,17 @@ def model_rate(spec: Spectrum, model: ModelParams) -> float:
     return rate
 
 
-def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
-    """Whether both roots of z^2 + a z + b lie strictly inside the unit disk.
-
-    Decided without computing the roots' moduli: the disk question is
-    transformed to a half-plane question for the polynomial
-    (1 + a + b) s^2 + 2 (1 - b) s + (b - a + 1), whose roots must both
-    have strictly negative real part. A vanishing leading coefficient
-    means z = 1 is a root of the original, which sits on the circle, so
-    the answer is False. This op exists as an independent verification
-    route for the modulus-based checks.
-    """
-    a = complex(a)
-    b = complex(b)
-    lead = 1.0 + a + b
-    if lead == 0.0:
-        return False
-    mid = 2.0 * (1.0 - b)
-    tail = b - a + 1.0
-    sq = cmath.sqrt(mid * mid - 4.0 * lead * tail)
-    s1 = (-mid + sq) / (2.0 * lead)
-    s2 = (-mid - sq) / (2.0 * lead)
-    return s1.real < 0.0 and s2.real < 0.0
-
-
 def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     """The common limit of all agents under a convergent MLA run.
 
     Equals w1 . x0 with w1 the dominant left eigenvector scaled to sum 1.
     For a symmetric weight matrix that is the arithmetic mean of the
-    initial states. Requires the dominant eigenvalue to be simple.
+    initial states. Requires the dominant eigenvalue to be simple and x0
+    to be a finite vector of n states.
     """
-    require_symmetric(A, "consensus value formula")
+    require_symmetric(A)
     _require_simple_dominant(spec)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_vector(A, x0, "x0")
     v1 = spec.eigenvectors[:, 0]
     w1 = v1 / v1.sum()
     return float(w1 @ x0)

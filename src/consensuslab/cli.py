@@ -93,17 +93,9 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_analyze(args, parser) -> int:
     A = _load(args, parser)
-    rep = net.analyze_structure(A)
-    if not rep.symmetric or not rep.irreducible:
-        print(
-            "error: analysis requires a symmetric irreducible network "
-            f"(symmetric={rep.symmetric}, irreducible={rep.irreducible})",
-            file=sys.stderr,
-        )
-        return 1
+    # the solve rejects asymmetric networks and rho_ess reducible ones; on one
+    # that is not primitive rho_ess is exactly 1 and the optima raise BadSpectrum
     spec = eigendecompose_symmetric(A)
-    # on a network that is not primitive rho_ess is exactly 1 and the
-    # optima raise BadSpectrum
     rho = rho_ess(spec)
 
     gs = bs = None
@@ -114,8 +106,7 @@ def cmd_analyze(args, parser) -> int:
         pass
     chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
 
-    verdict = None
-    gamma_rate = None
+    verdict = gamma_rate = None
     if args.gamma is not None:
         verdict = analysis.check_mla_convergence(spec, args.gamma)
         if verdict.converges:
@@ -152,9 +143,7 @@ def cmd_analyze(args, parser) -> int:
             valid = "closed form valid" if gs.hypotheses_met else "recomputed honestly"
             print(f"gamma* = {f % gs.gamma}   MLA rate {f % gs.rate}   ({valid})")
             print(f"beta*  = {f % bs.beta}   accelerated rate {f % bs.rate}")
-            print(
-                f"rate ordering MLA < accelerated < DeGroot: {chain_ok}"
-            )
+            print(f"rate ordering MLA < accelerated < DeGroot: {chain_ok}")
         else:
             print(
                 "optimal parameters unavailable: needs a primitive network "
@@ -163,9 +152,7 @@ def cmd_analyze(args, parser) -> int:
             )
         if verdict is not None:
             if verdict.converges:
-                print(
-                    f"gamma={f % args.gamma}: convergent, rate {f % gamma_rate}"
-                )
+                print(f"gamma={f % args.gamma}: convergent, rate {f % gamma_rate}")
             else:
                 print(
                     f"gamma={f % args.gamma}: NOT convergent "

@@ -1,4 +1,4 @@
-"""The three averaging update rules and the augmented first-order form.
+"""The three averaging update rules.
 
 DeGroot replaces each state with the weighted average of current neighbor
 states. The accelerated variant mixes that average with the raw previous
@@ -7,10 +7,8 @@ both the current and the previous states first and mixes the two averages
 (weight gamma), so each agent only needs to remember its own previous
 local average.
 
-The three rules are written out once, in `_advance`: `step_model` takes
-one step with it and `sim` iterates it through `_states`. The explicit
-2n-by-2n block matrix is built for verification and spectral
-cross-checks only; iterating it agrees with the rules to rounding.
+The three rules are written out once, in `_advance`, and `sim` iterates
+them through `_states`, one product with the weight matrix per step.
 """
 
 from __future__ import annotations
@@ -60,21 +58,13 @@ class ModelParams:
         return cls(ModelKind.MLA, gamma)
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedMatrix:
-    """The 2n-by-2n block iteration matrix [[gamma A, (1-gamma) A], [I, 0]]."""
-
-    matrix: np.ndarray
-    gamma: float
-    n: int
-
-
-def _check_vector(A: WeightedAdjacency, x: np.ndarray, name: str) -> np.ndarray:
+def _check_vector(A: WeightedAdjacency, x, name: str) -> np.ndarray:
+    """x as a float array after checking its shape (n,) and finiteness."""
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n,):
-        raise DimensionMismatch(
-            f"{name} has shape {x.shape}, expected ({A.n},)"
-        )
+        raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({A.n},)")
+    if not np.isfinite(x).all():
+        raise BadParameter(f"{name} has a non-finite entry")
     return x
 
 
@@ -104,31 +94,3 @@ def _states(A: WeightedAdjacency, model: ModelParams, X0: np.ndarray):
         X, X_prev, AX_prev = _advance(model, AX, X_prev, AX_prev), X, AX
         yield X
         AX = X @ Wt
-
-
-def step_model(A: WeightedAdjacency, model: ModelParams, x, x_prev) -> np.ndarray:
-    """One update of the chosen model from x(k) = x and x(k-1) = x_prev.
-
-    DeGroot ignores x_prev; gamma = 1 (MLA) and beta = 1 (accelerated)
-    collapse to the DeGroot update.
-    """
-    x = _check_vector(A, x, "x")
-    x_prev = _check_vector(A, x_prev, "x_prev")
-    Wt = A.weights.T
-    return _advance(model, x @ Wt, x_prev, x_prev @ Wt)
-
-
-def build_augmented(A: WeightedAdjacency, gamma: float) -> AugmentedMatrix:
-    """Assemble the explicit block matrix driving the stacked MLA state.
-
-    Multiplying [x(k); x(k-1)] by it equals one MLA `step_model` followed
-    by the shift of x(k) into the memory slot. Row sums stay 1 for any gamma.
-    """
-    n = A.n
-    W = A.weights
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = gamma * W
-    M[:n, n:] = (1.0 - gamma) * W
-    M[n:, :n] = np.eye(n)
-    M.setflags(write=False)
-    return AugmentedMatrix(matrix=M, gamma=gamma, n=n)

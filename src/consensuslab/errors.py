@@ -41,11 +41,15 @@ class RowSumViolation(ConsensusLabError):
 
 
 class BadParameter(ConsensusLabError):
-    """A scalar argument is outside its admissible range."""
+    """An argument is outside its admissible range."""
 
 
 class AssumptionViolated(ConsensusLabError):
     """Input does not satisfy a structural precondition."""
+
+
+class NotSymmetric(AssumptionViolated):
+    """Operation requires a symmetric matrix."""
 
 
 class ParseError(ConsensusLabError):
@@ -57,10 +61,6 @@ class ParseError(ConsensusLabError):
 
 
 # ---------------------------------------------------------------- spectral
-
-
-class NotSymmetric(ConsensusLabError):
-    """Operation requires a symmetric matrix."""
 
 
 class DominantNotSimple(AssumptionViolated):

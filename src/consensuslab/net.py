@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AssumptionViolated,
     BadParameter,
     NegativeWeight,
     NonFiniteWeight,
     NotSquare,
+    NotSymmetric,
     ParseError,
     RowSumViolation,
 )
@@ -80,14 +80,21 @@ def validate(weights) -> WeightedAdjacency:
     return WeightedAdjacency(n=n, weights=W)
 
 
-def require_symmetric(A: WeightedAdjacency, needs: str) -> None:
-    """Raise AssumptionViolated naming `needs` unless A is symmetric.
+def _asymmetry(W: np.ndarray) -> float:
+    """max|W - W^T|, the one measure of symmetry in the package."""
+    return float(np.max(np.abs(W - W.T)))
+
+
+def require_symmetric(A: WeightedAdjacency) -> None:
+    """Raise NotSymmetric unless A is symmetric.
 
     Symmetric means every entry matches its transpose within SYMMETRY_TOL;
-    results that take the initial mean as the consensus value rely on it.
+    the eigensolver and the results that take the initial mean as the
+    consensus value rely on it.
     """
-    if float(np.max(np.abs(A.weights - A.weights.T))) > SYMMETRY_TOL:
-        raise AssumptionViolated(f"{needs} needs a symmetric matrix")
+    asym = _asymmetry(A.weights)
+    if asym > SYMMETRY_TOL:
+        raise NotSymmetric(f"matrix is asymmetric by {asym:.3e}")
 
 
 def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
@@ -147,7 +154,7 @@ def analyze_structure(A: WeightedAdjacency) -> StructureReport:
       down, O(n^3 log n) against the sharp bound (n-1)^2 + 1.
     """
     W = A.weights
-    symmetric = bool(np.max(np.abs(W - W.T)) <= SYMMETRY_TOL)
+    symmetric = _asymmetry(W) <= SYMMETRY_TOL
 
     pattern = W > 0.0
     level = _bfs_levels(pattern)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, _states
+from .dynamics import ModelParams, _check_vector, _states
 from .errors import BadParameter, InsufficientData, NormalizationFailed
 from .net import WeightedAdjacency, require_symmetric, validate
 
@@ -140,8 +140,14 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
 def simulate_trajectory(
     A: WeightedAdjacency, model: ModelParams, x0, steps: int
 ) -> np.ndarray:
-    """States x(0..steps) as rows from x(-1) = x(0) = x0: a batch of one run."""
-    x0 = np.asarray(x0, dtype=float)
+    """States x(0..steps) as rows from x(-1) = x(0) = x0: a batch of one run.
+
+    Raises DimensionMismatch unless x0 has n entries, BadParameter when
+    one is not finite or steps is negative.
+    """
+    x0 = _check_vector(A, x0, "x0")
+    if steps < 0:
+        raise BadParameter(f"steps must be >= 0, got {steps}")
     out = np.empty((steps + 1, A.n))
     out[0] = x0
     for k, X in zip(range(1, steps + 1), _states(A, model, x0[None])):
@@ -158,15 +164,14 @@ def fit_rate(
     (the initial mean, which a symmetric weight matrix conserves), and
     regresses its log against the step index. The window drops the first
     10% of steps and every step whose norm sits below 1e-13, where
-    rounding noise dominates. Raises AssumptionViolated on an asymmetric
-    matrix, whose consensus value is not the initial mean, and
-    InsufficientData with fewer than 10 usable points, e.g. when started
-    at consensus.
+    rounding noise dominates. Raises NotSymmetric on an asymmetric
+    matrix, whose consensus value is not the initial mean, the
+    `simulate_trajectory` errors on x0 and steps, and InsufficientData
+    with fewer than 10 usable points, e.g. when started at consensus.
     """
-    require_symmetric(A, "rate fit")
-    x0 = np.asarray(x0, dtype=float)
+    require_symmetric(A)
     traj = simulate_trajectory(A, model, x0, steps)
-    x_inf = x0.mean()
+    x_inf = traj[0].mean()
     norms = np.linalg.norm(traj - x_inf, axis=1)
     k_start = int(np.ceil(FIT_SKIP_FRACTION * steps))
     usable = norms >= FIT_NORM_FLOOR

@@ -1,4 +1,4 @@
-"""Eigendecomposition of symmetric weight matrices and eigenpair verification.
+"""Eigendecomposition of symmetric weight matrices.
 
 The solver is LAPACK's symmetric eigensolver behind `np.linalg.eigh`,
 followed by a stable descending sort and a fixed eigenvector sign
@@ -9,8 +9,7 @@ bit-identical for a fixed numpy/BLAS build and BLAS thread count.
 
 Spectra of the 2n-by-2n stacked iteration matrix are never computed with a
 general eigensolver. They come from the closed-form quadratic mapping in
-`analysis`, and `verify_augmented_eigenpair` certifies each mapped pair by
-an explicit residual against the block matrix.
+`analysis`.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import build_augmented
-from .errors import BadSpectrum, DominantNotSimple, NotSymmetric
-from .net import SYMMETRY_TOL, WeightedAdjacency
+from .errors import BadSpectrum, DominantNotSimple
+from .net import WeightedAdjacency, require_symmetric
 
 
 def certificate_bound(n: int) -> float:
@@ -64,16 +62,14 @@ class Spectrum:
 def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
     """Full eigendecomposition of a symmetric weight matrix.
 
-    The input must be symmetric to 1e-12 entrywise. Eigenvalues come back
-    sorted descending; eigenvectors are orthonormal columns with the first
-    significant component of each made positive. Raises BadSpectrum when
-    LAPACK fails or the residual or orthogonality error of the result
-    exceeds `certificate_bound(n)`.
+    The input must be symmetric to 1e-12 entrywise (NotSymmetric
+    otherwise). Eigenvalues come back sorted descending; eigenvectors are
+    orthonormal columns with the first significant component of each made
+    positive. Raises BadSpectrum when LAPACK fails or the residual or
+    orthogonality error of the result exceeds `certificate_bound(n)`.
     """
+    require_symmetric(A)
     W = A.weights
-    asym = float(np.max(np.abs(W - W.T)))
-    if asym > SYMMETRY_TOL:
-        raise NotSymmetric(f"matrix is asymmetric by {asym:.3e}")
     try:
         vals, vecs = np.linalg.eigh(W)
     except np.linalg.LinAlgError as e:
@@ -122,36 +118,6 @@ def _require_simple_dominant(spec: Spectrum) -> None:
     w = spec.eigenvalues
     if w.size >= 2 and w[1] > 1.0 - _UNIT_EIGENVALUE_TOL:
         raise DominantNotSimple(
-            f"second eigenvalue {w[1]!r} is within {_UNIT_EIGENVALUE_TOL:g} of 1"
+            f"network is reducible: second eigenvalue {float(w[1])!r} "
+            f"is within {_UNIT_EIGENVALUE_TOL:g} of 1"
         )
-
-
-def augmented_eigenvector(lam_hat: complex, v) -> np.ndarray:
-    """Eigenvector [lam_hat * v; v] of the stacked iteration matrix.
-
-    v is the eigenvector of the weight matrix whose eigenvalue maps to
-    lam_hat; the stacked vector is complex whenever lam_hat is.
-    """
-    v = np.asarray(v, dtype=float)
-    lam_hat = complex(lam_hat)
-    return np.concatenate([lam_hat * v, v.astype(complex)])
-
-
-def verify_augmented_eigenpair(
-    A: WeightedAdjacency,
-    gamma: float,
-    lam: float,
-    lam_hat: complex,
-    v,
-) -> float:
-    """Residual of the stacked eigenvector construction.
-
-    Given an eigenpair (lam, v) of A and a mapped eigenvalue lam_hat of
-    the stacked iteration matrix, builds [lam_hat * v; v] and returns
-    the max-norm residual of the eigen-equation on the explicit block
-    matrix. Callers treat residuals <= 1e-9 as a verified pair.
-    """
-    vhat = augmented_eigenvector(lam_hat, v)
-    M = build_augmented(A, gamma).matrix
-    resid = M @ vhat - complex(lam_hat) * vhat
-    return float(np.max(np.abs(resid)))

@@ -1,14 +1,18 @@
-"""Reference formulations the library's shared kernels must match bit for bit.
+"""Reference formulations and oracles the library is checked against.
 
 The root mapping, one Python call per eigenvalue with both signed roots:
 the formulation the modulus kernel `_max_root_modulus` and the scalar
-`_root_pair` in `consensuslab.analysis` must reproduce. And the simulator
-with each model's update rule written out in its own loop branch: the
-formulation the single update kernel in `consensuslab.dynamics` replaced.
+`_root_pair` in `consensuslab.analysis` must reproduce bit for bit. The
+simulator with each model's update rule written out in its own loop
+branch: the formulation the single update kernel in `consensuslab.dynamics`
+replaced. And the independent routes to the same answers: one model step
+from the update kernel, the explicit 2n-by-2n block matrix of the stacked
+MLA state with its eigenpair residual, and the half-plane root test.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -20,7 +24,7 @@ from consensuslab.analysis import (
     MappedPair,
     _golden_section_min,
 )
-from consensuslab.dynamics import ModelKind
+from consensuslab.dynamics import ModelKind, _advance, _check_vector
 from consensuslab.sim import TraceSummary, _substream
 from consensuslab.spectral import rho_ess
 
@@ -162,3 +166,55 @@ def simulate_trajectory(A, model, x0, steps: int) -> np.ndarray:
             xc, xp = param * (W @ xc) + (1.0 - param) * (W @ xp), xc
         out[k] = xc
     return out
+
+
+def step_model(A, model, x, x_prev) -> np.ndarray:
+    """One update of the chosen model from x(k) = x and x(k-1) = x_prev."""
+    x = _check_vector(A, x, "x")
+    x_prev = _check_vector(A, x_prev, "x_prev")
+    Wt = A.weights.T
+    return _advance(model, x @ Wt, x_prev, x_prev @ Wt)
+
+
+def augmented_matrix(A, gamma: float) -> np.ndarray:
+    """The stacked MLA iteration [[gamma W, (1 - gamma) W], [I, 0]].
+
+    Multiplying [x(k); x(k-1)] by it takes one MLA step and shifts x(k)
+    into the memory slot.
+    """
+    W = A.weights
+    return np.block([[gamma * W, (1.0 - gamma) * W], [np.eye(A.n), np.zeros_like(W)]])
+
+
+def augmented_eigenvector(lam_hat: complex, v) -> np.ndarray:
+    """[lam_hat * v; v]: the stacked eigenvector for a weight eigenvector v
+    whose eigenvalue maps to lam_hat."""
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([complex(lam_hat) * v, v.astype(complex)])
+
+
+def verify_augmented_eigenpair(A, gamma: float, lam: float, lam_hat: complex, v) -> float:
+    """Max-norm residual of [lam_hat * v; v] on the explicit block matrix,
+    for the eigenpair (lam, v) of A; a residual <= 1e-9 verifies the pair."""
+    vhat = augmented_eigenvector(lam_hat, v)
+    resid = augmented_matrix(A, gamma) @ vhat - complex(lam_hat) * vhat
+    return float(np.max(np.abs(resid)))
+
+
+def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
+    """Whether both roots of z^2 + a z + b lie strictly inside the unit disk,
+    decided without their moduli.
+
+    The map z = (s + 1) / (s - 1) takes the left half-plane to the disk, so
+    both roots of (1 + a + b) s^2 + 2 (1 - b) s + (b - a + 1) must have a
+    negative real part. A vanishing leading coefficient means z = 1 is a
+    root, on the circle.
+    """
+    a, b = complex(a), complex(b)
+    lead = 1.0 + a + b
+    if lead == 0.0:
+        return False
+    mid = 2.0 * (1.0 - b)
+    sq = cmath.sqrt(mid * mid - 4.0 * lead * (b - a + 1.0))
+    s1, s2 = (-mid + sq) / (2.0 * lead), (-mid - sq) / (2.0 * lead)
+    return s1.real < 0.0 and s2.real < 0.0

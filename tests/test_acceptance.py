@@ -13,7 +13,6 @@ from consensuslab import (
     ModelParams,
     SimConfig,
     analyze_structure,
-    build_augmented,
     check_mla_convergence,
     eigendecompose_symmetric,
     fit_rate,
@@ -26,9 +25,12 @@ from consensuslab import (
     rho_ess,
     rho_ess_accelerated,
     rho_ess_mla,
-    roots_in_unit_disk_via_halfplane,
     run_batch,
     simulate_trajectory,
+)
+from scalar_reference import (
+    augmented_matrix,
+    roots_in_unit_disk_via_halfplane,
     verify_augmented_eigenpair,
 )
 
@@ -151,7 +153,7 @@ def test_criterion_5_convergence_biconditional(corpus100):
                 continue
             verdict = check_mla_convergence(spec, g)
             brute = verdict.limiting_eigenvalue_modulus < 1.0
-            ev = np.linalg.eigvals(build_augmented(A, g).matrix)
+            ev = np.linalg.eigvals(augmented_matrix(A, g))
             rest = np.delete(ev, np.argmin(np.abs(ev - 1.0)))
             oracle = bool(np.max(np.abs(rest)) < 1.0)
             if verdict.converges != brute or verdict.converges != oracle:

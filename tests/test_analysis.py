@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from consensuslab import (
     AssumptionViolated,
+    BadParameter,
     BadSpectrum,
     DegenerateSpectrum,
+    DominantNotSimple,
     ModelParams,
     NotConvergent,
     Spectrum,
     analysis,
-    build_augmented,
     check_mla_convergence,
     consensus_value,
     eigendecompose_symmetric,
@@ -29,10 +30,10 @@ from consensuslab import (
     rho_ess,
     rho_ess_accelerated,
     rho_ess_mla,
-    roots_in_unit_disk_via_halfplane,
     simulate_trajectory,
     validate,
 )
+from scalar_reference import augmented_matrix, roots_in_unit_disk_via_halfplane
 
 GAMMA_STAR = 0.8541019662496845  # 2.5 * (sqrt(1.8) - 1) for rho = 0.8
 RATE_STAR = 0.3416407864998738  # sqrt(1.8) - 1
@@ -171,7 +172,7 @@ class TestConvergenceVerdict:
                 if v.converges:
                     assert v.limiting_eigenvalue_modulus < 1.0 + 1e-10
                 # independent oracle: numpy on the explicit block matrix
-                ev = np.linalg.eigvals(build_augmented(A, g).matrix)
+                ev = np.linalg.eigvals(augmented_matrix(A, g))
                 rest = np.delete(ev, np.argmin(np.abs(ev - 1.0)))
                 assert v.converges == (np.max(np.abs(rest)) < 1.0)
                 checked += 1
@@ -255,6 +256,74 @@ class TestRhoEssMla:
         spec = eigendecompose_symmetric(ring4)
         with pytest.raises(NotConvergent):
             rho_ess_mla(spec, 1.0)
+
+
+class TestParameterGuards:
+    """A gamma or beta that is not finite, or whose root coefficients
+    overflow, raises BadParameter before numpy can warn or a wrong
+    modulus come back."""
+
+    BAD = (np.nan, np.inf, -np.inf, 1e200, -1e200, 1e308)
+
+    @pytest.mark.parametrize("param", BAD)
+    def test_spectrum_operations(self, ring4_loops_spectrum, param):
+        for f in (check_mla_convergence, rho_ess_mla, rho_ess_accelerated):
+            with pytest.raises(BadParameter):
+                f(ring4_loops_spectrum, param)
+        for model in (ModelParams.accelerated, ModelParams.mla):
+            if math.isfinite(param):
+                with pytest.raises(BadParameter):
+                    model_rate(ring4_loops_spectrum, model(param))
+
+    @pytest.mark.parametrize("param", BAD)
+    def test_scalar_maps(self, param):
+        for f in (map_eigenvalue, map_eigenvalue_accelerated, lambda_hat_max):
+            with pytest.raises(BadParameter):
+                f(0.5, param)
+        with pytest.raises(BadParameter):
+            lambda_hat_max(0.5, np.array([0.5, param]))
+
+    @pytest.mark.parametrize("lam", (np.nan, np.inf, -np.inf, 1e200))
+    def test_non_finite_or_huge_eigenvalue(self, lam):
+        for f in (map_eigenvalue, map_eigenvalue_accelerated, lambda_hat_max):
+            with pytest.raises(BadParameter):
+                f(lam, 0.5)
+        with pytest.raises(BadParameter):
+            lambda_hat_max(np.array([0.0, lam]), 0.5)
+
+    def test_overflow_is_found_at_the_largest_eigenvalue(self):
+        # |gamma * lam| peaks at the smallest eigenvalue here, not at 1
+        spec = synthetic_spectrum([1.0, 0.5, -1e200])
+        with pytest.raises(BadParameter):
+            check_mla_convergence(spec, 0.5)
+        with pytest.raises(BadParameter):
+            rho_ess_accelerated(spec, 0.5)
+
+    def test_large_finite_parameters_still_map(self, ring4_loops_spectrum):
+        # b*b stays finite up to |b| of about 1.34e154
+        v = check_mla_convergence(ring4_loops_spectrum, 1e150)
+        assert not v.converges
+        assert 1e149 < v.limiting_eigenvalue_modulus < math.inf
+        assert 1e149 < rho_ess_accelerated(ring4_loops_spectrum, 1e150) < math.inf
+        assert 1e149 < lambda_hat_max(-1.0, 1e150) < math.inf
+
+
+class TestSpectrumGuard:
+    """Both models' radii reject the spectra the MLA verdict rejects."""
+
+    @pytest.mark.parametrize("radius", [rho_ess_mla, rho_ess_accelerated])
+    def test_identity_is_reducible(self, radius):
+        identity = eigendecompose_symmetric(validate(np.eye(4)))
+        with pytest.raises(
+            DominantNotSimple,
+            match=r"^network is reducible: second eigenvalue 1\.0 is within 1e-10 of 1$",
+        ):
+            radius(identity, 0.5)
+
+    @pytest.mark.parametrize("radius", [rho_ess_mla, rho_ess_accelerated])
+    def test_dominant_not_one(self, radius):
+        with pytest.raises(AssumptionViolated, match=r"^dominant eigenvalue 0\.5 is not 1"):
+            radius(synthetic_spectrum([0.5, 0.2, -0.1]), 0.5)
 
 
 class TestModelRate:

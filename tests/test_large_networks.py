@@ -13,7 +13,6 @@ import pytest
 
 from consensuslab import (
     ModelParams,
-    build_augmented,
     check_mla_convergence,
     consensus_value,
     map_eigenvalue,
@@ -23,9 +22,9 @@ from consensuslab import (
     rho_ess_accelerated,
     rho_ess_mla,
     simulate_trajectory,
-    verify_augmented_eigenpair,
 )
 from consensuslab.spectral import certificate_bound
+from scalar_reference import augmented_matrix, verify_augmented_eigenpair
 
 
 def test_corpus_covers_the_large_sizes(corpus_large):
@@ -66,7 +65,7 @@ def test_convergence_biconditional(corpus_large):
             assert verdict.converges == (verdict.limiting_eigenvalue_modulus < 1.0)
             verdicts.add(verdict.converges)
             if k < 2:  # a reference eigensolver on the 2n-by-2n block
-                ev = np.linalg.eigvals(build_augmented(A, float(g)).matrix)
+                ev = np.linalg.eigvals(augmented_matrix(A, float(g)))
                 rest = np.delete(ev, np.argmin(np.abs(ev - 1.0)))
                 assert verdict.converges == bool(np.max(np.abs(rest)) < 1.0)
     assert verdicts == {True, False}

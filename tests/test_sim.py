@@ -5,8 +5,10 @@ import scalar_reference as ref
 from consensuslab import (
     AssumptionViolated,
     BadParameter,
+    DimensionMismatch,
     InsufficientData,
     ModelParams,
+    NotSymmetric,
     SimConfig,
     WeightedAdjacency,
     analyze_structure,
@@ -239,14 +241,58 @@ class TestFitRate:
         # row-stochastic but not doubly stochastic: the mean is not conserved,
         # so a fit towards it would report a rate near 1 with r^2 near 0
         A = validate([[0.2, 0.8, 0.0], [0.3, 0.4, 0.3], [0.0, 0.6, 0.4]])
-        with pytest.raises(AssumptionViolated):
+        with pytest.raises(AssumptionViolated) as info:
             fit_rate(A, ModelParams.degroot(), [0.2, 0.7, 0.4], 100)
+        # the one symmetry check, shared with the eigensolver
+        assert isinstance(info.value, NotSymmetric)
+        assert str(info.value) == "matrix is asymmetric by 5.000e-01"
 
     def test_window_respects_skip_and_floor(self, ring4_loops):
         x0 = np.random.Generator(np.random.Philox(key=4)).uniform(0.0, 1.0, 4)
         fit = fit_rate(ring4_loops, ModelParams.degroot(), x0, 100)
         assert fit.window[0] >= 10
         assert fit.window[1] <= 100
+
+
+class TestStateInputs:
+    """A state of the wrong shape, a non-finite state or a negative horizon
+    is rejected by name rather than by a raw numpy error."""
+
+    @pytest.fixture(scope="class")
+    def ring6(self):
+        return make_ring(6, 0.1)
+
+    @pytest.mark.parametrize("x0", [np.ones(5), np.ones(7), np.ones((6, 2)), 1.0])
+    def test_wrong_shape(self, ring6, x0):
+        model = ModelParams.mla(0.5)
+        with pytest.raises(DimensionMismatch):
+            simulate_trajectory(ring6, model, x0, 10)
+        with pytest.raises(DimensionMismatch):
+            fit_rate(ring6, model, x0, 100)
+        with pytest.raises(DimensionMismatch):
+            consensus_value(ring6, eigendecompose_symmetric(ring6), x0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state(self, ring6, bad):
+        x0 = np.arange(6.0)
+        x0[2] = bad
+        with pytest.raises(BadParameter):
+            simulate_trajectory(ring6, ModelParams.degroot(), x0, 10)
+        with pytest.raises(BadParameter):
+            fit_rate(ring6, ModelParams.degroot(), x0, 100)
+        with pytest.raises(BadParameter):
+            consensus_value(ring6, eigendecompose_symmetric(ring6), x0)
+
+    def test_negative_steps(self, ring6):
+        with pytest.raises(BadParameter):
+            simulate_trajectory(ring6, ModelParams.degroot(), np.ones(6), -1)
+        with pytest.raises(BadParameter):
+            fit_rate(ring6, ModelParams.degroot(), np.arange(6.0), -1)
+
+    def test_zero_steps_is_the_initial_state(self, ring6):
+        x0 = np.arange(6.0)
+        traj = simulate_trajectory(ring6, ModelParams.mla(0.5), list(x0), 0)
+        assert traj.shape == (1, 6) and np.array_equal(traj[0], x0)
 
 
 class TestRandomNetworkGenerator:

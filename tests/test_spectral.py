@@ -13,7 +13,6 @@ from consensuslab import (
     DominantNotSimple,
     ModelParams,
     NotConvergent,
-    augmented_eigenvector,
     NotSymmetric,
     analyze_structure,
     check_mla_convergence,
@@ -29,9 +28,9 @@ from consensuslab import (
     random_symmetric_stochastic,
     rho_ess,
     validate,
-    verify_augmented_eigenpair,
 )
 from consensuslab.spectral import Spectrum, certificate_bound
+from scalar_reference import augmented_eigenvector, verify_augmented_eigenpair
 
 
 @pytest.fixture(scope="module")
