@@ -36,9 +36,6 @@ from .spectral import Spectrum, _require_simple_dominant, rho_ess
 # classified non-convergent (the criteria are strict inequalities)
 CRITERION_BOUNDARY_TOL = 1e-12
 
-# a leading eigenvalue this far from 1 is not from a row-stochastic matrix
-# at all (a hand-built spectrum): an input guard, not a rounding bound
-_DOMINANT_ONE_TOL = 1e-8
 # eigenvalues and rates this close count as equal in the optima's
 # hypotheses and the improvement search; it does not scale with n, so it
 # exceeds the solve error (certificate_bound) only up to n = 281
@@ -200,14 +197,9 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     depends on the parameter sign region, so the signed root closer to 1
     is dropped. The rest of the spectrum needs moduli alone.
     """
+    _require_simple_dominant(spec)
     w = spec.eigenvalues
     w0 = float(w[0])
-    if abs(w0 - 1.0) > _DOMINANT_ONE_TOL:
-        raise AssumptionViolated(
-            f"dominant eigenvalue {w0!r} is not 1; input is not a valid "
-            "row-stochastic network spectrum"
-        )
-    _require_simple_dominant(spec)
     _check_roots(coefficients, max(abs(w0), abs(float(w[-1]))), param, name)
     plus, minus, _ = _root_pair(*coefficients(w0, param))
     kept = minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus

@@ -51,7 +51,10 @@ def _load(args, parser: argparse.ArgumentParser) -> net.WeightedAdjacency:
         return net.make_ring(args.ring, args.self_loop or 0.0)
     if args.self_loop is not None:
         parser.error("--self-loop only applies with --ring")
-    return net.read_matrix(args.input)
+    try:
+        return net.read_matrix(args.input)
+    except OSError as e:
+        raise BadParameter(f"cannot read {args.input}: {e.strerror or e}") from None
 
 
 def _flag(v: bool) -> str:
@@ -85,9 +88,9 @@ def cmd_validate(args, parser) -> int:
 def cmd_spectrum(args, parser) -> int:
     A = _load(args, parser)
     spec = eigendecompose_symmetric(A)
+    columns = (np.arange(1, A.n + 1), spec.eigenvalues)
     print("index,eigenvalue")
-    for i, lam in enumerate(spec.eigenvalues, start=1):
-        print(f"{i},{_PORCELAIN % lam}")
+    np.savetxt(sys.stdout, np.column_stack(columns), "%d," + _PORCELAIN)
     return 0
 
 
@@ -203,7 +206,7 @@ def cmd_simulate(args, parser) -> int:
     except ConsensusLabError as e:
         print(f"rate fit skipped: {e}")
         return 0
-    x0 = sim._substream(args.seed, 0).uniform(0.0, 1.0, A.n)
+    x0 = sim._initial_state(args.seed, 0, A.n)
     try:
         fit = sim.fit_rate(A, model, x0, args.steps)
     except InsufficientData as e:

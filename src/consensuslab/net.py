@@ -186,11 +186,9 @@ def make_ring(n: int, self_loop: float = 0.0) -> WeightedAdjacency:
     if not 0.0 <= self_loop < 1.0:
         raise BadParameter(f"self_loop must lie in [0, 1), got {self_loop!r}")
     off = (1.0 - self_loop) / 2.0
-    W = np.zeros((n, n))
-    for i in range(n):
-        W[i, i] = self_loop
-        W[i, (i + 1) % n] += off
-        W[i, (i - 1) % n] += off
+    I = np.eye(n)
+    W = off * (np.roll(I, 1, axis=1) + np.roll(I, -1, axis=1))
+    np.fill_diagonal(W, self_loop)
     return validate(W)
 
 
@@ -202,18 +200,23 @@ def write_matrix(A: WeightedAdjacency, path) -> None:
     """
     with open(path, "w") as fh:
         fh.write(f"{A.n}\n")
-        for row in A.weights:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, A.weights, "%.17g")
 
 
 def read_matrix(path) -> WeightedAdjacency:
     """Read the plain-text matrix format and validate the result.
 
-    Raises ParseError (with the 1-based file line) on malformed input,
-    then the validate() errors apply to the parsed values.
+    Raises OSError on an unreadable path, ParseError (with the 1-based
+    file line) on malformed or non-UTF-8 input, then the validate() errors.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        # the bad byte's line, numbered as splitlines() numbers the text
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"byte {e.start} is not UTF-8 text") from None
     # ignore trailing blank lines only; blank lines inside the body are errors
     while lines and not lines[-1].strip():
         lines.pop()
@@ -229,16 +232,14 @@ def read_matrix(path) -> WeightedAdjacency:
         raise ParseError(
             len(lines), f"expected {n} rows, found {len(lines) - 1}"
         )
+    # a row is converted once it holds n tokens: memory stays O(file size)
     rows = []
-    for r in range(n):
-        lineno = r + 2
-        parts = lines[r + 1].split()
+    for r, line in enumerate(lines[1:]):
+        parts = line.split()
         if len(parts) != n:
-            raise ParseError(
-                lineno, f"row {r} has {len(parts)} values, expected {n}"
-            )
+            raise ParseError(r + 2, f"row {r} has {len(parts)} values, expected {n}")
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(np.array(parts, dtype=float))  # each str as float() reads it
         except ValueError:
-            raise ParseError(lineno, f"row {r} has a non-numeric value") from None
+            raise ParseError(r + 2, f"row {r} has a non-numeric value") from None
     return validate(rows)

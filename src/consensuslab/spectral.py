@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpectrum, DominantNotSimple
+from .errors import AssumptionViolated, BadSpectrum, DominantNotSimple
 from .net import WeightedAdjacency, require_symmetric
 
 
@@ -40,6 +40,9 @@ def certificate_bound(n: int) -> float:
 # an eigenvalue this close to 1 counts as 1: far above the solve error
 # (certificate_bound, up to n = 28,000), far below any gap that matters
 _UNIT_EIGENVALUE_TOL = 1e-10
+# a leading eigenvalue this far from 1 is not from a row-stochastic matrix
+# at all (a hand-built spectrum): an input guard, not a rounding bound
+_DOMINANT_ONE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +102,8 @@ def rho_ess(spec: Spectrum) -> float:
     Exactly 1 when a non-dominant eigenvalue lies within
     `certificate_bound(n)` of modulus 1: the computed spectrum cannot tell
     such an eigenvalue from the exact -1 of a periodic (bipartite)
-    network. Zero for a single eigenvalue. Raises DominantNotSimple when a
-    second eigenvalue sits at 1, which signals a reducible network, the
-    identity included.
+    network. Zero for a single eigenvalue. Raises as
+    `_require_simple_dominant` does.
     """
     _require_simple_dominant(spec)
     w = spec.eigenvalues
@@ -110,12 +112,18 @@ def rho_ess(spec: Spectrum) -> float:
 
 
 def _require_simple_dominant(spec: Spectrum) -> None:
-    """Raise DominantNotSimple when a second eigenvalue sits at 1.
+    """Raise unless the spectrum leads with a simple eigenvalue 1.
 
-    For a symmetric row-stochastic matrix that means a reducible network,
-    whose components settle apart: no single rate or consensus value.
+    AssumptionViolated when the leading eigenvalue is more than 1e-8 from
+    1, as no row-stochastic spectrum is; DominantNotSimple when a second
+    one sits at 1: a reducible network, whose components settle apart.
     """
     w = spec.eigenvalues
+    if w.size and abs(float(w[0]) - 1.0) > _DOMINANT_ONE_TOL:
+        raise AssumptionViolated(
+            f"dominant eigenvalue {float(w[0])!r} is not 1; input is not a valid "
+            "row-stochastic network spectrum"
+        )
     if w.size >= 2 and w[1] > 1.0 - _UNIT_EIGENVALUE_TOL:
         raise DominantNotSimple(
             f"network is reducible: second eigenvalue {float(w[1])!r} "

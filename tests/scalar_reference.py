@@ -7,7 +7,10 @@ simulator with each model's update rule written out in its own loop
 branch: the formulation the single update kernel in `consensuslab.dynamics`
 replaced. And the independent routes to the same answers: one model step
 from the update kernel, the explicit 2n-by-2n block matrix of the stacked
-MLA state with its eigenpair residual, and the half-plane root test.
+MLA state with its eigenpair residual, and the half-plane root test. And
+the file writers and ring generator with one Python step per entry: the
+formulations the numpy text routines and `np.roll` replaced, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from consensuslab.analysis import (
     _golden_section_min,
 )
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
+from consensuslab.net import validate
 from consensuslab.sim import TraceSummary, _substream
 from consensuslab.spectral import rho_ess
 
@@ -109,7 +113,7 @@ def run_batch(A, cfg) -> TraceSummary:
     W = A.weights
     X0 = np.empty((cfg.runs, n))
     for i in range(cfg.runs):
-        X0[i] = _substream(cfg.seed, i).uniform(cfg.init_low, cfg.init_high, n)
+        X0[i] = _substream(cfg.seed, i).uniform(0.0, 1.0, n)
 
     env_max = np.empty(cfg.steps + 1)
     env_min = np.empty(cfg.steps + 1)
@@ -218,3 +222,30 @@ def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
     sq = cmath.sqrt(mid * mid - 4.0 * lead * (b - a + 1.0))
     s1, s2 = (-mid + sq) / (2.0 * lead), (-mid - sq) / (2.0 * lead)
     return s1.real < 0.0 and s2.real < 0.0
+
+
+def make_ring(n: int, self_loop: float = 0.0):
+    """The ring generator filling each row's three entries by index."""
+    off = (1.0 - self_loop) / 2.0
+    W = np.zeros((n, n))
+    for i in range(n):
+        W[i, i] = self_loop
+        W[i, (i + 1) % n] += off
+        W[i, (i - 1) % n] += off
+    return validate(W)
+
+
+def write_matrix(A, path) -> None:
+    """The matrix writer formatting each entry in its own f-string."""
+    with open(path, "w") as fh:
+        fh.write(f"{A.n}\n")
+        for row in A.weights:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def write_csv(summary, path) -> None:
+    """The envelope writer formatting one `k,env_min,env_max` row per step."""
+    with open(path, "w") as fh:
+        fh.write("k,env_min,env_max\n")
+        for k in range(summary.env_max.size):
+            fh.write(f"{k},{summary.env_min[k]:.17g},{summary.env_max[k]:.17g}\n")

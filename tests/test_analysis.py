@@ -325,6 +325,18 @@ class TestSpectrumGuard:
         with pytest.raises(AssumptionViolated, match=r"^dominant eigenvalue 0\.5 is not 1"):
             radius(synthetic_spectrum([0.5, 0.2, -0.1]), 0.5)
 
+    def test_every_radius_and_the_consensus_value_need_dominant_one(self):
+        spec = synthetic_spectrum([0.5, 0.2, -0.3])
+        calls = [
+            lambda: rho_ess(spec),
+            lambda: model_rate(spec, ModelParams.degroot()),
+            lambda: model_rate(spec, ModelParams.accelerated(0.5)),
+            lambda: consensus_value(make_ring(3), spec, np.arange(3.0)),
+        ]
+        for call in calls:
+            with pytest.raises(AssumptionViolated, match=r"^dominant eigenvalue 0\.5 "):
+                call()
+
 
 class TestModelRate:
     def test_each_model_reads_its_own_radius(self, corpus20):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import relabelled_rings
-from consensuslab import make_ring, validate, write_matrix
+from consensuslab import (
+    eigendecompose_symmetric,
+    make_ring,
+    random_symmetric_stochastic,
+    read_matrix,
+    validate,
+    write_matrix,
+)
 from consensuslab.cli import build_parser, main
 
 
@@ -48,6 +55,27 @@ class TestValidateCommand:
         assert main(["validate", "--input", str(p)]) == 1
         assert "(0, 1)" in capsys.readouterr().err
 
+    def test_missing_input_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "absent.txt"
+        assert main(["validate", "--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot read {p}: No such file or directory\n"
+
+    def test_directory_input_is_usage_error(self, tmp_path, capsys):
+        assert main(["validate", "--input", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_binary_input_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "m.bin"
+        p.write_bytes(b"2\n0.5 0.5\n\x00\xff\xfe\x80\n")
+        assert main(["validate", "--input", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 3: byte 11 is not UTF-8 text\n"
+
     def test_input_and_ring_are_exclusive(self, tmp_path):
         p = tmp_path / "m.txt"
         write_matrix(make_ring(4, 0.0), p)
@@ -71,6 +99,14 @@ class TestSpectrumCommand:
         p = tmp_path / "m.txt"
         p.write_text("2\n0.2 0.8\n0.5 0.5\n")
         assert main(["spectrum", "--input", str(p)]) == 1
+
+    def test_stdout_matches_row_loop(self, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        write_matrix(random_symmetric_stochastic(17, 4), p)
+        assert main(["spectrum", "--input", str(p)]) == 0
+        spec = eigendecompose_symmetric(read_matrix(p))
+        rows = [f"{i},{v:.17g}\n" for i, v in enumerate(spec.eigenvalues, start=1)]
+        assert capsys.readouterr().out == "index,eigenvalue\n" + "".join(rows)
 
 
 class TestAnalyzeCommand:

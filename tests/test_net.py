@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from consensuslab import (
     BadParameter,
     NegativeWeight,
@@ -8,8 +9,10 @@ from consensuslab import (
     NotSquare,
     ParseError,
     RowSumViolation,
+    WeightedAdjacency,
     analyze_structure,
     make_ring,
+    random_symmetric_stochastic,
     read_matrix,
     validate,
     write_matrix,
@@ -242,6 +245,12 @@ class TestMakeRing:
         assert np.max(np.abs(A.weights.sum(axis=1) - 1.0)) <= 1e-12
         assert np.array_equal(A.weights, A.weights.T)
 
+    @pytest.mark.parametrize("s", [0.0, 0.1, 1 / 3, 0.5, 0.999])
+    def test_matches_index_loop(self, s):
+        for n in list(range(3, 40)) + [64, 129]:
+            got, want = make_ring(n, s).weights, ref.make_ring(n, s).weights
+            assert got.tobytes() == want.tobytes()
+
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
             make_ring(2, 0.0)
@@ -258,6 +267,30 @@ class TestMatrixIO:
         A = read_matrix(p)
         assert A.n == 2
         assert np.array_equal(A.weights, np.full((2, 2), 0.5))
+
+    def test_reads_every_token_float_accepts(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("3\n5E-1 +0.5 0\n0.5_0 .5 -0\n  0 1.5e-320 1 \n")
+        A = read_matrix(p)
+        want = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, -0.0], [0.0, 1.5e-320, 1.0]])
+        assert A.weights.tobytes() == want.tobytes()
+
+    def test_writer_matches_entry_loop(self, tmp_path, corpus20):
+        odd = np.array(
+            [
+                [-0.0, 0.0, 5e-324],
+                [1e308, -1e308, 2.2250738585072014e-308],
+                [1 / 3, 0.1, 1.5e-320],
+            ]
+        )
+        nets = [make_ring(n, s) for n in (3, 5, 17) for s in (0.0, 1 / 3)]
+        nets += [random_symmetric_stochastic(n, s) for n in (2, 64) for s in (0, 1)]
+        nets += [a for a, _ in corpus20[:5]] + [WeightedAdjacency(n=3, weights=odd)]
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        for A in nets:
+            write_matrix(A, got)
+            ref.write_matrix(A, want)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_round_trip_is_value_exact(self, tmp_path, corpus20):
         p = tmp_path / "m.txt"
@@ -295,6 +328,22 @@ class TestMatrixIO:
         with pytest.raises(ParseError) as ei:
             read_matrix(p)
         assert ei.value.line == 2
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff2\n0.5 0.5\n0.5 0.5\n", 1),
+            (b"2\n0.5 0.5\n0.5 \xe90.5\n", 3),
+            (b"2\r0.5 0.5\r\n\x89PNG\r\n", 3),
+        ],
+        ids=["header", "body", "carriage-returns"],
+    )
+    def test_undecodable_bytes(self, tmp_path, data, line):
+        p = tmp_path / "m.txt"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match="is not UTF-8 text") as ei:
+            read_matrix(p)
+        assert ei.value.line == line
 
     def test_validation_applies_after_parse(self, tmp_path):
         p = tmp_path / "m.txt"

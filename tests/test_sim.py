@@ -10,6 +10,7 @@ from consensuslab import (
     ModelParams,
     NotSymmetric,
     SimConfig,
+    TraceSummary,
     WeightedAdjacency,
     analyze_structure,
     check_mla_convergence,
@@ -34,8 +35,6 @@ class TestSimConfig:
             SimConfig(model=m, steps=0, runs=1, seed=0)
         with pytest.raises(BadParameter):
             SimConfig(model=m, steps=1, runs=0, seed=0)
-        with pytest.raises(BadParameter):
-            SimConfig(model=m, steps=1, runs=1, seed=0, init_low=1.0, init_high=1.0)
 
 
 class TestRunBatch:
@@ -104,6 +103,24 @@ class TestRunBatch:
             assert int(sk) == k
             assert float(lo) == ts.env_min[k]
             assert float(hi) == ts.env_max[k]
+
+    def test_csv_matches_row_loop(self, tmp_path):
+        ring = make_ring(8, 0.0)
+        # each model, then an overflowing MLA run, truncated before its
+        # first non-finite step
+        configs = [(m, 40) for m in MODELS] + [(ModelParams.mla(3.0), 3000)]
+        batches = [
+            run_batch(ring, SimConfig(model=m, steps=steps, runs=5, seed=3))
+            for m, steps in configs
+        ]
+        assert batches[-1].first_nonfinite_step is not None
+        odd = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5e-320, 1 / 3])
+        batches.append(TraceSummary(odd, -odd, odd))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        for ts in batches:
+            ts.write_csv(got)
+            ref.write_csv(ts, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestDivergentBatch:
