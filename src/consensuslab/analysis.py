@@ -11,6 +11,16 @@ essential spectral radius of the stacked system, the rate-optimal
 parameters, and the consensus value. `_root_pair` maps one eigenvalue to
 its signed roots in Python floats; `_max_root_modulus` maps a whole
 spectrum or contour row to the larger root modulus in array operations.
+
+Verdicts and rates read the largest modulus off the ends of the sorted
+spectrum. The larger root modulus never decreases with |lam| on either
+sign side, so a walk inward from lambda_2 and from lambda_n, one
+`_root_pair` per eigenvalue, stops on a side once its modulus falls below
+the running maximum by more than the kernels' rounding error. Spectra
+where the ends do not settle it within a few steps, such as the
+accelerated model's flat modulus sqrt(beta - 1) over its conjugate
+region, fall back to `_max_root_modulus` on the unread middle. Either way
+the result is the whole-spectrum maximum, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,16 +40,20 @@ from .errors import (
     NotConvergent,
 )
 from .net import WeightedAdjacency, require_symmetric
-from .spectral import Spectrum, _require_simple_dominant, rho_ess
+from .spectral import Spectrum, _require_simple_dominant, certificate_bound, rho_ess
 
 # criterion values this close to zero count as the boundary and are
 # classified non-convergent (the criteria are strict inequalities)
 CRITERION_BOUNDARY_TOL = 1e-12
 
-# eigenvalues and rates this close count as equal in the optima's
-# hypotheses and the improvement search; it does not scale with n, so it
-# exceeds the solve error (certificate_bound) only up to n = 281
-_RATE_TOL = 1e-12
+
+def _rate_tol(n: int) -> float:
+    """Eigenvalues and rates this close count as equal in the optima's
+    hypotheses and the improvement search: 1e-12, or the solve error
+    `certificate_bound(n)` where that is larger (n > 281)."""
+    return max(1e-12, float(certificate_bound(n)))
+
+
 # lambda_2 + lambda_n this close to 0 leaves no unique essential eigenvalue
 _CANCELLATION_TOL = 1e-10
 # the beta* search brackets to 1e-10 and lands within 3.5e-11 of the closed
@@ -137,6 +151,37 @@ def _max_root_modulus(b, c):
     return np.where(double, half, np.where(disc < 0.0, conjugate, real))
 
 
+def _larger_modulus(b: float, c: float) -> float:
+    """Larger root modulus of z^2 - b z + c = 0 from `_root_pair`."""
+    plus, minus, _ = _root_pair(b, c)
+    return max(abs(plus), abs(minus))
+
+
+# Reading the rate off the spectrum's ends. For fixed parameters the exact
+# larger root modulus never decreases with |lam| on either sign side: a
+# conjugate pair has modulus sqrt(|c|), which grows with |lam| (MLA) or is
+# flat (accelerated), and a real pair's larger root (|b| + sqrt(disc)) / 2
+# has a nonnegative derivative in |lam| over the whole real region, for
+# both models and every finite parameter. The kernels compute it within
+# about 1e-7 relative of the exact value; the worst case is the
+# cancellation floor, sqrt(32 eps) = 8.4e-8. So once the modulus v read at
+# one end satisfies v * (1 + _WALK_MARGIN) + _WALK_FLOOR < best, no unread
+# eigenvalue of that end's sign can round above best (the lambda_2 end
+# covers those >= 0, the lambda_n end those < 0). The margin is over ten
+# times the relative error; the absolute floor covers underflow, where sqrt
+# turns a subnormal-level error into about 2e-162.
+_WALK_MARGIN = 1e-6
+_WALK_FLOOR = 1e-150
+# rounds of the walk, two reads each, before the unread middle of the
+# spectrum goes to the array kernel (a ring needs at most three)
+_WALK_ROUNDS = 4
+
+
+def _may_beat(at: float, best: float) -> bool:
+    """False once a side whose last read modulus is `at` cannot beat best."""
+    return at * (1.0 + _WALK_MARGIN) + _WALK_FLOOR >= best
+
+
 def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
     """Raise BadParameter unless the kernels' b*b + |4c| stays finite at |lam|,
     which also rejects a non-finite lam or param. |b| and |c| grow with
@@ -195,16 +240,42 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
 
     The dominant eigenvalue maps to {1, other}; which branch carries the 1
     depends on the parameter sign region, so the signed root closer to 1
-    is dropped. The rest of the spectrum needs moduli alone.
+    is dropped. The rest of the spectrum needs moduli alone, and they are
+    read off its ends: a walk inward from lambda_2 and from lambda_n reads
+    one eigenvalue per open side and round, and a side closes once its
+    modulus falls clearly below the running maximum (see _WALK_MARGIN).
+    The unread middle goes to `_max_root_modulus` when both sides are
+    still open after a round (the ends tie, as on the accelerated model's
+    flat conjugate region) or after _WALK_ROUNDS rounds. Either way the
+    result is the maximum over the whole spectrum, bit for bit.
     """
     _require_simple_dominant(spec)
     w = spec.eigenvalues
     w0 = float(w[0])
     _check_roots(coefficients, max(abs(w0), abs(float(w[-1]))), param, name)
     plus, minus, _ = _root_pair(*coefficients(w0, param))
-    kept = minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus
-    moduli = _max_root_modulus(*coefficients(w[1:], param))
-    return float(moduli.max(initial=abs(kept)))
+    best = abs(minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus)
+    lo, hi = 1, w.size - 1
+    # the modulus last read at each end; none read yet, so both may beat best
+    at_lo = at_hi = math.inf
+    rounds = 0
+    while lo <= hi:
+        open_lo, open_hi = _may_beat(at_lo, best), _may_beat(at_hi, best)
+        if not (open_lo or open_hi):
+            return best
+        if rounds == _WALK_ROUNDS or (rounds and open_lo and open_hi):
+            moduli = _max_root_modulus(*coefficients(w[lo : hi + 1], param))
+            return float(moduli.max(initial=best))
+        if open_lo:
+            at_lo = _larger_modulus(*coefficients(float(w[lo]), param))
+            best = max(best, at_lo)
+            lo += 1
+        if lo <= hi and _may_beat(at_hi, best):
+            at_hi = _larger_modulus(*coefficients(float(w[hi]), param))
+            best = max(best, at_hi)
+            hi -= 1
+        rounds += 1
+    return best
 
 
 def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
@@ -300,17 +371,16 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     exhaustive mapping and hypotheses_met is False.
     """
     w = spec.eigenvalues
-    lam_2 = float(w[1])
     lam_n = float(w[-1])
     rho = rho_ess(spec)
     if lam_n >= 0.0:
         raise BadSpectrum(f"smallest eigenvalue must be negative, got {lam_n!r}")
     if not 0.0 < rho < 1.0:
         raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
+    lam_2 = float(w[1])
+    tol = _rate_tol(w.size)
     gamma_star = 2.0 / rho * (math.sqrt(1.0 + rho) - 1.0)
-    hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + _RATE_TOL) and (
-        abs(lam_n + rho) <= _RATE_TOL
-    )
+    hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + tol) and (abs(lam_n + rho) <= tol)
     if hypotheses_met:
         rate = math.sqrt(1.0 + rho) - 1.0
     else:
@@ -374,10 +444,11 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
     no unique essential eigenvalue exists then.
     """
     w = spec.eigenvalues
+    tol = _rate_tol(w.size)
     rho = rho_ess(spec)
-    if rho <= _RATE_TOL:
+    if rho <= tol:
         return None
-    if rho >= 1.0 - _RATE_TOL:
+    if rho >= 1.0 - tol:
         raise AssumptionViolated(
             "improvement search needs a primitive network (essential radius < 1)"
         )
@@ -395,6 +466,6 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
         if not verdict.converges:
             continue
         improved = verdict.limiting_eigenvalue_modulus
-        if improved < rho - _RATE_TOL:
+        if improved < rho - tol:
             return (sign * mag, improved)
     return None

@@ -54,12 +54,31 @@ class Spectrum:
     and all others lie in [-1, 1). `residual` is max|W V - V diag(w)| and
     `orth_error` is max|V^T V - I|, the certificate of the solve; both are
     NaN on a spectrum built by hand rather than by the solver.
+
+    Construction raises BadSpectrum unless the eigenvalues are a
+    non-empty 1-D real finite array sorted descending and the eigenvectors
+    are n-by-n: `rho_ess` and the root mapping in `analysis` read the
+    extremes of the spectrum at its two ends.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float = float("nan")
     orth_error: float = float("nan")
+
+    def __post_init__(self) -> None:
+        w = self.eigenvalues
+        if not (isinstance(w, np.ndarray) and w.ndim == 1 and w.size >= 1):
+            raise BadSpectrum("eigenvalues must be a non-empty 1-D array")
+        if not (w.dtype.kind in "iuf" and np.isfinite(w).all()):
+            raise BadSpectrum("eigenvalues must be real and finite")
+        if (w[1:] > w[:-1]).any():
+            raise BadSpectrum("eigenvalues must be sorted descending")
+        if np.shape(self.eigenvectors) != (w.size, w.size):
+            raise BadSpectrum(
+                f"eigenvectors must be {w.size}-by-{w.size}, "
+                f"got shape {np.shape(self.eigenvectors)}"
+            )
 
 
 def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
@@ -107,7 +126,10 @@ def rho_ess(spec: Spectrum) -> float:
     """
     _require_simple_dominant(spec)
     w = spec.eigenvalues
-    rho = float(np.max(np.abs(w[1:]), initial=0.0))
+    if w.size == 1:
+        return 0.0
+    # sorted descending, so the largest modulus sits at one of the ends
+    rho = max(abs(float(w[1])), abs(float(w[-1])))
     return 1.0 if rho >= 1.0 - certificate_bound(w.size) else rho
 
 
@@ -119,7 +141,7 @@ def _require_simple_dominant(spec: Spectrum) -> None:
     one sits at 1: a reducible network, whose components settle apart.
     """
     w = spec.eigenvalues
-    if w.size and abs(float(w[0]) - 1.0) > _DOMINANT_ONE_TOL:
+    if abs(float(w[0]) - 1.0) > _DOMINANT_ONE_TOL:
         raise AssumptionViolated(
             f"dominant eigenvalue {float(w[0])!r} is not 1; input is not a valid "
             "row-stochastic network spectrum"

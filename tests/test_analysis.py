@@ -442,6 +442,19 @@ class TestOptimalGamma:
             optimal_gamma(synthetic_spectrum([1.0, 0.5, 0.2]))  # lam_n >= 0
         with pytest.raises(BadSpectrum):
             optimal_gamma(eigendecompose_symmetric(ring4))  # rho = 1
+        with pytest.raises(BadSpectrum):
+            optimal_gamma(synthetic_spectrum([1.0]))
+
+    @pytest.mark.parametrize("n, met", [(64, False), (512, True)])
+    def test_hypotheses_tolerance_scales_with_n(self, n, met):
+        # lambda_2 sits 1.5e-12 above |lambda_n| / 3: beyond 1e-12, but
+        # within the solve error certificate_bound(512) = 1.8e-12
+        lam_2 = 0.3 + 1.5e-12
+        spec = synthetic_spectrum([1.0, *np.linspace(lam_2, -0.9, n - 1)])
+        gs = optimal_gamma(spec)
+        assert gs.hypotheses_met is met
+        if met:
+            assert gs.rate == math.sqrt(1.9) - 1.0
 
 
 class TestOptimalBeta:

@@ -3,21 +3,28 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
 from consensuslab import (
+    NotConvergent,
+    analysis,
     check_mla_convergence,
+    eigendecompose_symmetric,
     lambda_hat_max,
+    make_ring,
     map_eigenvalue,
     map_eigenvalue_accelerated,
     optimal_beta,
+    rho_ess,
     rho_ess_accelerated,
+    rho_ess_mla,
 )
-from consensuslab.analysis import _max_root_modulus
+from consensuslab.analysis import _max_root_modulus, _may_beat
 from consensuslab.cli import main
-from consensuslab.spectral import Spectrum
+from consensuslab.spectral import Spectrum, certificate_bound
 
 
 def bits(x):
@@ -142,3 +149,122 @@ def test_optimal_beta_matches_reference(corpus100):
         got = optimal_beta(spec)
         want = ref.optimal_beta(spec)
         assert (bits(got.beta), bits(got.rate)) == (bits(want.beta), bits(want.rate))
+
+
+# Spectra where reading the rate off the ends is hardest: clusters of
+# eigenvalues a few ulps apart (as rings give), magnitudes down to 1e-300,
+# and parameters on the double root of lambda_2 or lambda_n, at +-0,
+# subnormal, 1 and 2 +- 1 ulp, or outside (0, 2).
+tiny = st.builds(
+    lambda sign, e: sign * 10.0**e,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=-300.0, max_value=-160.0),
+)
+centres = st.one_of(st.floats(min_value=-1.0, max_value=0.999), tiny)
+special_params = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2e-310, 1.0, nudged(1.0, 1), nudged(1.0, -1),
+     2.0, nudged(2.0, 1), nudged(2.0, -1)]
+)
+
+
+def double_root_params(lam):
+    """Parameters placing an exact double root on lam, for each model:
+    gamma^2 lam = 4 (gamma - 1) and beta^2 lam^2 = 4 (beta - 1)."""
+    out = []
+    for a in (lam, lam * lam):
+        root = 1.0 - a
+        if a != 0.0 and root >= 0.0:
+            out += [2.0 * (1.0 - math.sqrt(root)) / a, 2.0 * (1.0 + math.sqrt(root)) / a]
+    return out
+
+
+@st.composite
+def hard_spectra(draw):
+    rest = []
+    for c in draw(st.lists(centres, min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            rest.append(nudged(c, draw(st.integers(min_value=-4, max_value=4))))
+    w = np.array([nudged(1.0, draw(ulps))] + sorted(rest, reverse=True))
+    kind = draw(st.sampled_from(["double", "special", "wide"]))
+    if kind == "double":
+        end = float(w[draw(st.sampled_from([1, -1]))])
+        candidates = [p for p in double_root_params(end) if abs(p) <= 1e6]
+        assume(candidates)
+        param = nudged(draw(st.sampled_from(candidates)), draw(ulps))
+    elif kind == "special":
+        param = draw(special_params)
+    else:
+        param = draw(st.floats(min_value=-3.0, max_value=4.0))
+    return w, param
+
+
+@given(hard_spectra())
+@settings(max_examples=400, deadline=None)
+def test_radii_match_scalar_reference_on_hard_spectra(case):
+    w, param = case
+    spec = Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
+    mla = ref.non_dominant_moduli(spec, param, ref.map_eigenvalue).max()
+    acc = ref.non_dominant_moduli(spec, param, ref.map_eigenvalue_accelerated).max()
+    verdict = check_mla_convergence(spec, param)
+    assert bits(verdict.limiting_eigenvalue_modulus) == bits(mla)
+    if verdict.converges:
+        assert bits(rho_ess_mla(spec, param)) == bits(mla)
+    else:
+        with pytest.raises(NotConvergent):
+            rho_ess_mla(spec, param)
+    assert bits(rho_ess_accelerated(spec, param)) == bits(acc)
+    rho = float(np.max(np.abs(w[1:])))
+    want = 1.0 if rho >= 1.0 - certificate_bound(w.size) else rho
+    assert bits(rho_ess(spec)) == bits(want)
+
+
+@pytest.fixture
+def array_kernel_calls(monkeypatch):
+    """Count the whole-spectrum kernel calls the radii make."""
+    calls = []
+
+    def counted(b, c):
+        calls.append(np.size(b))
+        return _max_root_modulus(b, c)
+
+    monkeypatch.setattr(analysis, "_max_root_modulus", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_ring_verdicts_read_only_the_ends(n, array_kernel_calls):
+    # primitive (odd) and periodic (even) rings of about a thousand agents
+    spec = eigendecompose_symmetric(make_ring(n, 0.0))
+    for g in (0.3, 0.7, 1.3):
+        got = check_mla_convergence(spec, g)
+        want = ref.check_mla_convergence(spec, g)
+        assert bits(got.limiting_eigenvalue_modulus) == bits(
+            want.limiting_eigenvalue_modulus
+        )
+        if got.converges:
+            assert bits(rho_ess_mla(spec, g)) == bits(want.limiting_eigenvalue_modulus)
+    assert array_kernel_calls == []
+
+
+def test_flat_accelerated_radius_falls_back(array_kernel_calls):
+    # above beta* every eigenvalue maps to a conjugate pair of modulus
+    # sqrt(beta - 1), so the ends cannot tell the maximum
+    for n in (16, 17, 64):
+        spec = eigendecompose_symmetric(make_ring(n, 0.1))
+        beta_star = optimal_beta(spec).beta
+        array_kernel_calls.clear()
+        for beta in np.linspace(beta_star + 1e-3, 1.999, 40):
+            want = ref.non_dominant_moduli(spec, beta, ref.map_eigenvalue_accelerated)
+            assert bits(rho_ess_accelerated(spec, float(beta))) == bits(want.max())
+        assert len(array_kernel_calls) == 40
+
+
+def test_walk_stop_rule_keeps_the_rounding_slack():
+    # a side stays open while its modulus may round up to best: within
+    # 1e-6 relative (the kernels' error is below 1e-7) or 1e-150 absolute
+    # (sqrt of a subnormal-level error is about 2e-162)
+    assert _may_beat(1.0, 1.0 + 9e-7)
+    assert not _may_beat(1.0, 1.0 + 2e-6)
+    assert _may_beat(0.0, 5e-151)
+    assert _may_beat(1e-160, 1e-160 + 9e-151)
+    assert not _may_beat(0.0, 2e-150)

@@ -94,6 +94,35 @@ class TestEigendecompose:
             eigendecompose_symmetric(validate(W))
 
 
+class TestSpectrumContract:
+    """Every spectrum is checked once, when it is built: the radii read
+    their extremes at its two ends."""
+
+    @pytest.mark.parametrize(
+        "eigenvalues, eigenvectors",
+        [
+            (np.array([]), np.eye(0)),
+            ([1.0, 0.5], np.eye(2)),
+            (np.array([[1.0, 0.5]]), np.eye(2)),
+            (np.array([1.0, np.nan]), np.eye(2)),
+            (np.array([1.0, -np.inf]), np.eye(2)),
+            (np.array([1.0, 0.5j]), np.eye(2)),
+            (np.array([1.0, 0.5], dtype=object), np.eye(2)),
+            (np.array([1.0, -0.5, 0.2]), np.eye(3)),
+            (np.array([1.0, 0.2, np.nextafter(0.2, 1.0)]), np.eye(3)),
+            (np.array([1.0, 0.5, -0.5]), np.eye(2)),
+            (np.array([1.0, 0.5]), np.eye(2)[:, :1]),
+        ],
+    )
+    def test_rejects_malformed(self, eigenvalues, eigenvectors):
+        with pytest.raises(BadSpectrum):
+            Spectrum(eigenvalues, eigenvectors)
+
+    def test_accepts_ties_and_a_lone_eigenvalue(self):
+        Spectrum(np.array([1.0, 0.2, 0.2, 0.0, -0.0, -0.5]), np.eye(6))
+        Spectrum(np.array([1.0]), np.eye(1))
+
+
 class TestCertificate:
     def test_every_spectrum_within_bound(self, corpus100):
         for A, spec in corpus100:
