@@ -9,18 +9,20 @@ stacked two-step iteration, the roots of a quadratic:
 Everything else follows from those roots: convergence criteria, the
 essential spectral radius of the stacked system, the rate-optimal
 parameters, and the consensus value. `_root_pair` maps one eigenvalue to
-its signed roots in Python floats; `_max_root_modulus` maps a whole
-spectrum or contour row to the larger root modulus in array operations.
+its signed roots in Python floats, `_larger_modulus` to its larger root
+modulus; `_max_root_modulus` maps a whole spectrum or contour row to the
+larger root modulus in array operations.
 
 Verdicts and rates read the largest modulus off the ends of the sorted
 spectrum. The larger root modulus never decreases with |lam| on either
 sign side, so a walk inward from lambda_2 and from lambda_n, one
-`_root_pair` per eigenvalue, stops on a side once its modulus falls below
-the running maximum by more than the kernels' rounding error. Spectra
-where the ends do not settle it within a few steps, such as the
+`_larger_modulus` per eigenvalue, stops on a side once its modulus falls
+below the running maximum by more than the kernels' rounding error.
+Spectra where the ends do not settle it within a few steps, such as the
 accelerated model's flat modulus sqrt(beta - 1) over its conjugate
 region, fall back to `_max_root_modulus` on the unread middle. Either way
-the result is the whole-spectrum maximum, bit for bit.
+the result is the whole-spectrum maximum, bit for bit. Both optima are
+closed forms in the essential radius; only gamma*'s needs hypotheses.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ def _rate_tol(n: int) -> float:
 
 # lambda_2 + lambda_n this close to 0 leaves no unique essential eigenvalue
 _CANCELLATION_TOL = 1e-10
-# the beta* search brackets to 1e-10 and lands within 3.5e-11 of the closed
-# form on networks up to n = 256; a larger gap means another minimum
-_BETA_AGREEMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,20 @@ def _max_root_modulus(b, c):
 
 
 def _larger_modulus(b: float, c: float) -> float:
-    """Larger root modulus of z^2 - b z + c = 0 from `_root_pair`."""
-    plus, minus, _ = _root_pair(b, c)
-    return max(abs(plus), abs(minus))
+    """Larger root modulus of z^2 - b z + c = 0 in Python floats: bit for bit
+    `_root_pair`'s by the identities of `_max_root_modulus`. Only a conjugate
+    pair builds a complex, as its abs() may round apart from math.hypot."""
+    b, c = float(b), float(c)
+    bb = b * b
+    c4 = 4.0 * c
+    disc = bb - c4
+    if abs(disc) <= _CANCELLATION_FLOOR * (bb + abs(c4)):
+        return abs(b) / 2.0
+    if disc < 0.0:
+        return abs(complex(b / 2.0, math.sqrt(-disc) / 2.0))
+    # sqrt(disc) > 0 here, so big > 0
+    big = (abs(b) + math.sqrt(disc)) / 2.0
+    return max(big, abs(c) / big)
 
 
 # Reading the rate off the spectrum's ends. For fixed parameters the exact
@@ -165,21 +175,16 @@ def _larger_modulus(b: float, c: float) -> float:
 # both models and every finite parameter. The kernels compute it within
 # about 1e-7 relative of the exact value; the worst case is the
 # cancellation floor, sqrt(32 eps) = 8.4e-8. So once the modulus v read at
-# one end satisfies v * (1 + _WALK_MARGIN) + _WALK_FLOOR < best, no unread
+# one end satisfies v * _WALK_SCALE + _WALK_FLOOR < best, no unread
 # eigenvalue of that end's sign can round above best (the lambda_2 end
-# covers those >= 0, the lambda_n end those < 0). The margin is over ten
-# times the relative error; the absolute floor covers underflow, where sqrt
-# turns a subnormal-level error into about 2e-162.
-_WALK_MARGIN = 1e-6
+# covers those >= 0, the lambda_n end those < 0). The margin 1e-6 is over
+# ten times the relative error; the absolute floor covers underflow, where
+# sqrt turns a subnormal-level error into about 2e-162.
+_WALK_SCALE = 1.0 + 1e-6
 _WALK_FLOOR = 1e-150
 # rounds of the walk, two reads each, before the unread middle of the
 # spectrum goes to the array kernel (a ring needs at most three)
 _WALK_ROUNDS = 4
-
-
-def _may_beat(at: float, best: float) -> bool:
-    """False once a side whose last read modulus is `at` cannot beat best."""
-    return at * (1.0 + _WALK_MARGIN) + _WALK_FLOOR >= best
 
 
 def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
@@ -228,9 +233,11 @@ def map_eigenvalue_accelerated(lam: float, beta: float) -> MappedPair:
 def lambda_hat_max(lam, gamma):
     """Larger modulus of the two MLA-induced eigenvalues (contour field).
 
-    Elementwise over broadcast lam and gamma; a float for scalar input.
+    Elementwise over broadcast lam and gamma; a float for scalar input, an
+    empty array when either is empty.
     """
-    _check_roots(_mla_coefficients, np.abs(lam).max(), np.abs(gamma).max(), "gamma")
+    lam_max, gamma_max = np.abs(lam).max(initial=0.0), np.abs(gamma).max(initial=0.0)
+    _check_roots(_mla_coefficients, lam_max, gamma_max, "gamma")
     out = _max_root_modulus(*_mla_coefficients(lam, gamma))
     return float(out) if out.ndim == 0 else out
 
@@ -243,35 +250,39 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     is dropped. The rest of the spectrum needs moduli alone, and they are
     read off its ends: a walk inward from lambda_2 and from lambda_n reads
     one eigenvalue per open side and round, and a side closes once its
-    modulus falls clearly below the running maximum (see _WALK_MARGIN).
+    modulus falls clearly below the running maximum (see _WALK_SCALE).
     The unread middle goes to `_max_root_modulus` when both sides are
     still open after a round (the ends tie, as on the accelerated model's
     flat conjugate region) or after _WALK_ROUNDS rounds. Either way the
-    result is the maximum over the whole spectrum, bit for bit.
+    result is the maximum over the whole spectrum, bit for bit. A numpy
+    scalar parameter sets the precision of the root sums and products, in
+    the walk (against Python floats) and on the middle alike.
     """
     _require_simple_dominant(spec)
-    w = spec.eigenvalues
-    w0 = float(w[0])
-    _check_roots(coefficients, max(abs(w0), abs(float(w[-1]))), param, name)
-    plus, minus, _ = _root_pair(*coefficients(w0, param))
+    w = spec._floats
+    _check_roots(coefficients, max(abs(w[0]), abs(w[-1])), param, name)
+    plus, minus, _ = _root_pair(*coefficients(w[0], param))
     best = abs(minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus)
-    lo, hi = 1, w.size - 1
+    lo, hi = 1, len(w) - 1
     # the modulus last read at each end; none read yet, so both may beat best
     at_lo = at_hi = math.inf
     rounds = 0
     while lo <= hi:
-        open_lo, open_hi = _may_beat(at_lo, best), _may_beat(at_hi, best)
+        open_lo = at_lo * _WALK_SCALE + _WALK_FLOOR >= best
+        open_hi = at_hi * _WALK_SCALE + _WALK_FLOOR >= best
         if not (open_lo or open_hi):
             return best
         if rounds == _WALK_ROUNDS or (rounds and open_lo and open_hi):
-            moduli = _max_root_modulus(*coefficients(w[lo : hi + 1], param))
+            mid = spec.eigenvalues[lo : hi + 1].astype(np.result_type(param, 1.0))
+            b, c = coefficients(mid, param)
+            moduli = _max_root_modulus(np.asarray(b, float), np.asarray(c, float))
             return float(moduli.max(initial=best))
         if open_lo:
-            at_lo = _larger_modulus(*coefficients(float(w[lo]), param))
+            at_lo = _larger_modulus(*coefficients(w[lo], param))
             best = max(best, at_lo)
             lo += 1
-        if lo <= hi and _may_beat(at_hi, best):
-            at_hi = _larger_modulus(*coefficients(float(w[hi]), param))
+        if lo <= hi and at_hi * _WALK_SCALE + _WALK_FLOOR >= best:
+            at_hi = _larger_modulus(*coefficients(w[hi], param))
             best = max(best, at_hi)
             hi -= 1
         rounds += 1
@@ -290,7 +301,7 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     BadParameter on a gamma that is not finite or overflows the roots.
     """
     limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
-    lam_n = float(spec.eigenvalues[-1])
+    lam_n = spec._floats[-1]
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
     in_range = 0.0 < gamma < 2.0
     converges = in_range and criterion > CRITERION_BOUNDARY_TOL
@@ -388,48 +399,18 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     return GammaStar(gamma=gamma_star, rate=rate, hypotheses_met=hypotheses_met)
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on (lo, hi) to bracket width tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    h = hi - lo
-    c = hi - inv_phi * h
-    d = lo + inv_phi * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = hi - inv_phi * h
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + inv_phi * h
-            fd = f(d)
-    x = (lo + hi) / 2.0
-    return x, f(x)
-
-
 def optimal_beta(spec: Spectrum) -> BetaStar:
-    """Rate-optimal accelerated-averaging parameter and its rate.
-
-    The achievable rate has the closed form rho / (1 + sqrt(1 - rho^2));
-    the parameter achieving it is located numerically by golden-section
-    search of the mapped non-dominant modulus over (0, 2). The search
-    must agree with the closed form 2 / (1 + sqrt(1 - rho^2)) to 1e-6,
-    which doubles as the unimodality check; BadSpectrum otherwise.
+    """Rate-optimal accelerated-averaging parameter and its rate, in closed
+    form: beta* = 2 / (1 + sqrt(1 - rho^2)) maps every |lam| <= rho to a
+    conjugate or double pair of modulus sqrt(beta* - 1) = rho / (1 +
+    sqrt(1 - rho^2)); a smaller beta leaves a slower real pair at rho, a
+    larger one raises sqrt(beta - 1). BadSpectrum unless 0 < rho < 1.
     """
     rho = rho_ess(spec)
     if not 0.0 < rho < 1.0:
         raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
     root = math.sqrt(1.0 - rho * rho)
-    beta, _ = _golden_section_min(
-        lambda b: rho_ess_accelerated(spec, b), 0.0, 2.0, 1e-10
-    )
-    closed = 2.0 / (1.0 + root)
-    if not abs(beta - closed) <= _BETA_AGREEMENT_TOL:
-        raise BadSpectrum(f"search beta {beta!r} misses closed form {closed!r}")
-    return BetaStar(beta=beta, rate=rho / (1.0 + root))
+    return BetaStar(beta=2.0 / (1.0 + root), rate=rho / (1.0 + root))
 
 
 def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:

@@ -15,6 +15,7 @@ is well-defined even for models that oscillate forever.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,16 @@ def _substream(seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed ^ run) & _MASK64))
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """BadParameter unless value is an integer (np.int64 too) >= least."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise BadParameter(f"{name} must be >= {least}, got {value}")
+
+
 def _initial_state(seed: int, run: int, n: int) -> np.ndarray:
     """Run `run`'s initial state: n draws uniform on [0, 1) from its substream."""
     return _substream(seed, run).uniform(0.0, 1.0, n)
@@ -50,10 +61,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise BadParameter(f"steps must be >= 1, got {self.steps}")
-        if self.runs < 1:
-            raise BadParameter(f"runs must be >= 1, got {self.runs}")
+        _check_count(self.steps, "steps", 1)
+        _check_count(self.runs, "runs", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +147,10 @@ def simulate_trajectory(
     """States x(0..steps) as rows from x(-1) = x(0) = x0: a batch of one run.
 
     Raises DimensionMismatch unless x0 has n entries, BadParameter when
-    one is not finite or steps is negative.
+    one is not finite or steps is not an integer >= 0.
     """
     x0 = _check_vector(A, x0, "x0")
-    if steps < 0:
-        raise BadParameter(f"steps must be >= 0, got {steps}")
+    _check_count(steps, "steps", 0)
     out = np.empty((steps + 1, A.n))
     out[0] = x0
     for k, X in zip(range(1, steps + 1), _states(A, model, x0[None])):

@@ -14,7 +14,7 @@ general eigensolver. They come from the closed-form quadratic mapping in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,18 +58,24 @@ class Spectrum:
     Construction raises BadSpectrum unless the eigenvalues are a
     non-empty 1-D real finite array sorted descending and the eigenvectors
     are n-by-n: `rho_ess` and the root mapping in `analysis` read the
-    extremes of the spectrum at its two ends.
+    extremes of the spectrum at its two ends. The eigenvalues are kept
+    read-only (a writable input is copied) beside `_floats`, the Python
+    floats `analysis` reads, so neither can go stale.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float = float("nan")
     orth_error: float = float("nan")
+    _floats: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = self.eigenvalues
         if not (isinstance(w, np.ndarray) and w.ndim == 1 and w.size >= 1):
             raise BadSpectrum("eigenvalues must be a non-empty 1-D array")
+        if w.flags.writeable:
+            object.__setattr__(self, "eigenvalues", w := w.copy())
+            w.setflags(write=False)
         if not (w.dtype.kind in "iuf" and np.isfinite(w).all()):
             raise BadSpectrum("eigenvalues must be real and finite")
         if (w[1:] > w[:-1]).any():
@@ -79,6 +85,7 @@ class Spectrum:
                 f"eigenvectors must be {w.size}-by-{w.size}, "
                 f"got shape {np.shape(self.eigenvectors)}"
             )
+        object.__setattr__(self, "_floats", tuple(map(float, w)))
 
 
 def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:

@@ -10,7 +10,8 @@ from the update kernel, the explicit 2n-by-2n block matrix of the stacked
 MLA state with its eigenpair residual, and the half-plane root test. And
 the file writers and ring generator with one Python step per entry: the
 formulations the numpy text routines and `np.roll` replaced, byte for
-byte.
+byte. And the golden-section search for beta* that its closed form
+replaced.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from consensuslab.analysis import (
     BetaStar,
     ConvergenceVerdict,
     MappedPair,
-    _golden_section_min,
 )
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
 from consensuslab.net import validate
@@ -34,7 +34,12 @@ from consensuslab.spectral import rho_ess
 
 
 def roots_sum_product(b: float, c: float) -> tuple[complex, complex, float]:
-    """Roots of z^2 - b z + c = 0 as (plus, minus, discriminant)."""
+    """Roots of z^2 - b z + c = 0 as (plus, minus, discriminant).
+
+    b and c are read as Python floats, whatever type a numpy scalar
+    parameter gave them.
+    """
+    b, c = float(b), float(c)
     disc = b * b - 4.0 * c
     if abs(disc) <= 16.0 * np.finfo(float).eps * (b * b + abs(4.0 * c)):
         return complex(b / 2.0), complex(b / 2.0), disc
@@ -98,10 +103,34 @@ def rho_ess_accelerated(spec, beta: float) -> float:
     return float(np.max(non_dominant_moduli(spec, beta, map_eigenvalue_accelerated)))
 
 
+def golden_section_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal f on (lo, hi) to bracket width tol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    h = hi - lo
+    c = hi - inv_phi * h
+    d = lo + inv_phi * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            h = hi - lo
+            c = hi - inv_phi * h
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            h = hi - lo
+            d = lo + inv_phi * h
+            fd = f(d)
+    x = (lo + hi) / 2.0
+    return x, f(x)
+
+
 def optimal_beta(spec) -> BetaStar:
+    """beta* found numerically: golden-section search of the accelerated
+    radius over (0, 2), bracketed to 1e-10."""
     rho = rho_ess(spec)
     rate = rho / (1.0 + math.sqrt(1.0 - rho * rho))
-    beta, _ = _golden_section_min(
+    beta, _ = golden_section_min(
         lambda b: rho_ess_accelerated(spec, b), 0.0, 2.0, 1e-10
     )
     return BetaStar(beta=beta, rate=rate)

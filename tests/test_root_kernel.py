@@ -22,7 +22,7 @@ from consensuslab import (
     rho_ess_accelerated,
     rho_ess_mla,
 )
-from consensuslab.analysis import _max_root_modulus, _may_beat
+from consensuslab.analysis import _larger_modulus, _max_root_modulus
 from consensuslab.cli import main
 from consensuslab.spectral import Spectrum, certificate_bound
 
@@ -70,6 +70,7 @@ def test_kernel_matches_scalar_reference(pairs):
     for i, (bi, ci) in enumerate(pairs):
         plus, minus, _ = ref.roots_sum_product(bi, ci)
         assert bits(got[i]) == bits(max(abs(plus), abs(minus)))
+        assert bits(_larger_modulus(bi, ci)) == bits(got[i])
 
 
 # the dominant eigenvalue a few ulps off 1, and parameters on the edges
@@ -144,11 +145,58 @@ def test_accelerated_radius_matches_reference(corpus100):
             )
 
 
-def test_optimal_beta_matches_reference(corpus100):
-    for _, spec in corpus100:
+def test_optimal_beta_matches_reference(corpus100, corpus_large):
+    for _, spec in corpus100 + corpus_large:
         got = optimal_beta(spec)
         want = ref.optimal_beta(spec)
-        assert (bits(got.beta), bits(got.rate)) == (bits(want.beta), bits(want.rate))
+        rho = rho_ess(spec)
+        assert bits(got.beta) == bits(2.0 / (1.0 + math.sqrt(1.0 - rho * rho)))
+        assert bits(got.rate) == bits(want.rate)
+        # the reference search brackets to 1e-10 around the same minimum
+        assert abs(want.beta - got.beta) <= 1e-10
+
+
+def test_optimal_beta_maps_no_eigenvalue(monkeypatch, array_kernel_calls):
+    radius_calls = []
+    monkeypatch.setattr(
+        analysis, "rho_ess_accelerated", lambda *a: radius_calls.append(a)
+    )
+    for n in (16, 17, 64, 1024):
+        optimal_beta(eigendecompose_symmetric(make_ring(n, 0.1)))
+    assert radius_calls == [] and array_kernel_calls == []
+
+
+# numpy scalars set the precision of the root sum and product, which the
+# roots then read as Python floats; Python bools and ints act as floats
+SCALAR_PARAMS = [
+    t(p)
+    for t in (np.float16, np.float32, np.longdouble, np.float64)
+    for p in (0.3, 0.7, 1.2, 1.3, 1.9)
+] + [np.int64(0), np.int64(1), np.int64(2), True, False]
+
+
+@pytest.mark.parametrize("param", SCALAR_PARAMS, ids=lambda p: f"{type(p).__name__}({p})")
+def test_numpy_scalar_parameters_match_reference(param, corpus20):
+    spectra = [spec for _, spec in corpus20] + [
+        eigendecompose_symmetric(make_ring(n, loop))
+        for n in (16, 17, 64)
+        for loop in (0.0, 0.1)
+    ]
+    for spec in spectra:
+        got = check_mla_convergence(spec, param)
+        want = ref.check_mla_convergence(spec, param)
+        assert got.converges == want.converges
+        assert bits(got.criterion_ii_value) == bits(want.criterion_ii_value)
+        assert bits(got.limiting_eigenvalue_modulus) == bits(
+            want.limiting_eigenvalue_modulus
+        )
+        if got.converges:
+            assert bits(rho_ess_mla(spec, param)) == bits(
+                want.limiting_eigenvalue_modulus
+            )
+        assert bits(rho_ess_accelerated(spec, param)) == bits(
+            ref.rho_ess_accelerated(spec, param)
+        )
 
 
 # Spectra where reading the rate off the ends is hardest: clusters of
@@ -259,12 +307,23 @@ def test_flat_accelerated_radius_falls_back(array_kernel_calls):
         assert len(array_kernel_calls) == 40
 
 
-def test_walk_stop_rule_keeps_the_rounding_slack():
+def test_walk_stop_rule_keeps_the_rounding_slack(array_kernel_calls):
     # a side stays open while its modulus may round up to best: within
     # 1e-6 relative (the kernels' error is below 1e-7) or 1e-150 absolute
-    # (sqrt of a subnormal-level error is about 2e-162)
-    assert _may_beat(1.0, 1.0 + 9e-7)
-    assert not _may_beat(1.0, 1.0 + 2e-6)
-    assert _may_beat(0.0, 5e-151)
-    assert _may_beat(1e-160, 1e-160 + 9e-151)
-    assert not _may_beat(0.0, 2e-150)
+    # (sqrt of a subnormal-level error is about 2e-162). At gamma = 1 each
+    # eigenvalue maps to {lam, 0}, so the moduli are |lam| exactly; the
+    # lambda_n side holds best, and a lambda_2 side left open beside it
+    # sends the unread middle to the kernel
+    for lam_2, lam_n, stays_open in [
+        (0.5 / (1.0 + 9e-7), -0.5, True),
+        (0.5 / (1.0 + 2e-6), -0.5, False),
+        (0.0, -5e-151, True),
+        (1e-160, -(1e-160 + 9e-151), True),
+        (0.0, -2e-150, False),
+    ]:
+        w = np.array([1.0, lam_2, 0.0, 0.0, lam_n])
+        spec = Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
+        array_kernel_calls.clear()
+        verdict = check_mla_convergence(spec, 1.0)
+        assert verdict.limiting_eigenvalue_modulus == abs(lam_n)
+        assert len(array_kernel_calls) == stays_open, (lam_2, lam_n)

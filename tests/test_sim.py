@@ -36,6 +36,20 @@ class TestSimConfig:
         with pytest.raises(BadParameter):
             SimConfig(model=m, steps=1, runs=0, seed=0)
 
+    @pytest.mark.parametrize("field", ["steps", "runs"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "3", None])
+    def test_rejects_non_integral_counts(self, field, bad):
+        counts = {"steps": 3, "runs": 2, field: bad}
+        with pytest.raises(BadParameter, match=field):
+            SimConfig(model=ModelParams.mla(0.5), seed=0, **counts)
+
+    def test_numpy_integer_counts_run(self, ring4_loops):
+        m = ModelParams.mla(0.5)
+        got = run_batch(ring4_loops, SimConfig(m, np.int64(5), np.int64(3), 1))
+        want = run_batch(ring4_loops, SimConfig(m, 5, 3, 1))
+        assert np.array_equal(got.env_max, want.env_max)
+        assert np.array_equal(got.final_max_abs_deviation, want.final_max_abs_deviation)
+
 
 class TestRunBatch:
     def test_deterministic_bit_identical(self, ring4_loops):
@@ -305,6 +319,22 @@ class TestStateInputs:
             simulate_trajectory(ring6, ModelParams.degroot(), np.ones(6), -1)
         with pytest.raises(BadParameter):
             fit_rate(ring6, ModelParams.degroot(), np.arange(6.0), -1)
+
+    @pytest.mark.parametrize("bad", [2.5, 50.0, np.float64(50.0)])
+    def test_non_integral_steps(self, ring6, bad):
+        with pytest.raises(BadParameter, match="steps"):
+            simulate_trajectory(ring6, ModelParams.degroot(), np.ones(6), bad)
+
+    @pytest.mark.parametrize("bad", [50.5, 50.0])
+    def test_non_integral_fit_steps(self, ring6, bad):
+        with pytest.raises(BadParameter, match="steps"):
+            fit_rate(ring6, ModelParams.degroot(), np.arange(6.0), bad)
+
+    def test_numpy_integer_steps(self, ring6):
+        x0 = np.arange(6.0)
+        got = simulate_trajectory(ring6, ModelParams.mla(0.5), x0, np.int64(12))
+        want = simulate_trajectory(ring6, ModelParams.mla(0.5), x0, 12)
+        assert np.array_equal(got, want)
 
     def test_zero_steps_is_the_initial_state(self, ring6):
         x0 = np.arange(6.0)

@@ -27,6 +27,7 @@ from consensuslab import (
     rho_ess_mla,
     random_symmetric_stochastic,
     rho_ess,
+    rho_ess_accelerated,
     validate,
 )
 from consensuslab.spectral import Spectrum, certificate_bound
@@ -121,6 +122,25 @@ class TestSpectrumContract:
     def test_accepts_ties_and_a_lone_eigenvalue(self):
         Spectrum(np.array([1.0, 0.2, 0.2, 0.0, -0.0, -0.5]), np.eye(6))
         Spectrum(np.array([1.0]), np.eye(1))
+
+    def test_later_writes_to_the_callers_array_change_nothing(self):
+        w = np.array([1.0, 0.5, 0.1, -0.8])
+        spec = Spectrum(w, np.eye(4))
+        before = (
+            check_mla_convergence(spec, 0.7),
+            rho_ess_accelerated(spec, 1.2),
+            rho_ess(spec),
+        )
+        w[:] = [1.0, 1.0, 0.0, -0.99]
+        assert not spec.eigenvalues.flags.writeable
+        assert spec.eigenvalues.tolist() == [1.0, 0.5, 0.1, -0.8]
+        assert check_mla_convergence(spec, 0.7) == before[0]
+        assert (rho_ess_accelerated(spec, 1.2), rho_ess(spec)) == before[1:]
+
+    def test_solver_output_is_not_copied(self, ring4_loops):
+        vals = eigendecompose_symmetric(ring4_loops).eigenvalues
+        assert not vals.flags.writeable
+        assert Spectrum(vals, np.eye(4)).eigenvalues is vals
 
 
 class TestCertificate:
