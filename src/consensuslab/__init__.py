@@ -10,13 +10,10 @@ from .analysis import (
     BetaStar,
     ConvergenceVerdict,
     GammaStar,
-    MappedPair,
     check_mla_convergence,
     consensus_value,
     improving_gamma_exists,
     lambda_hat_max,
-    map_eigenvalue,
-    map_eigenvalue_accelerated,
     model_rate,
     optimal_beta,
     optimal_gamma,
@@ -76,7 +73,6 @@ __all__ = [
     "DominantNotSimple",
     "GammaStar",
     "InsufficientData",
-    "MappedPair",
     "ModelKind",
     "ModelParams",
     "NegativeWeight",
@@ -101,8 +97,6 @@ __all__ = [
     "improving_gamma_exists",
     "lambda_hat_max",
     "make_ring",
-    "map_eigenvalue",
-    "map_eigenvalue_accelerated",
     "model_rate",
     "optimal_beta",
     "optimal_gamma",

@@ -8,10 +8,10 @@ stacked two-step iteration, the roots of a quadratic:
 
 Everything else follows from those roots: convergence criteria, the
 essential spectral radius of the stacked system, the rate-optimal
-parameters, and the consensus value. `_root_pair` maps one eigenvalue to
-its signed roots in Python floats, `_larger_modulus` to its larger root
-modulus; `_max_root_modulus` maps a whole spectrum or contour row to the
-larger root modulus in array operations.
+parameters, and the consensus value. Only the dominant eigenvalue needs
+its signed roots (`_root_pair`), as the root nearer 1 is dropped; the
+rest need the larger root modulus alone, in Python floats from
+`_larger_modulus` or over an array from `_max_root_modulus`.
 
 Verdicts and rates read the largest modulus off the ends of the sorted
 spectrum. The larger root modulus never decreases with |lam| on either
@@ -61,26 +61,13 @@ _CANCELLATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class MappedPair:
-    """Both roots induced by one eigenvalue, plus the discriminant.
-
-    The roots are a complex-conjugate pair exactly when the discriminant
-    is negative; their squared modulus then equals the root product.
-    """
-
-    lambda_plus: complex
-    lambda_minus: complex
-    discriminant: float
-
-
-@dataclass(frozen=True)
 class ConvergenceVerdict:
     """Outcome of the MLA convergence test for one gamma.
 
     criterion_ii_value is 2*gamma*lam_n - lam_n + 1, which must be
     strictly positive; gamma itself must lie strictly inside (0, 2).
-    limiting_eigenvalue_modulus is the brute-force cross-check: the max
-    modulus over all mapped non-dominant eigenvalues.
+    limiting_eigenvalue_modulus is the largest modulus over the mapped
+    roots but the dominant 1, whether or not the criteria hold.
     """
 
     converges: bool
@@ -105,8 +92,8 @@ class BetaStar(NamedTuple):
 _CANCELLATION_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 
-def _root_pair(b: float, c: float) -> tuple[complex, complex, float]:
-    """Roots (plus, minus) of z^2 - b z + c = 0 and its discriminant.
+def _root_pair(b: float, c: float) -> tuple[complex, complex]:
+    """Roots (plus, minus) of z^2 - b z + c = 0.
 
     The stable recipe: a real pair takes its larger-magnitude root from the
     formula, the other from the product c, and +0.0 imaginary parts.
@@ -116,17 +103,17 @@ def _root_pair(b: float, c: float) -> tuple[complex, complex, float]:
     c4 = 4.0 * c
     disc = bb - c4
     if abs(disc) <= _CANCELLATION_FLOOR * (bb + abs(c4)):
-        return complex(b / 2.0), complex(b / 2.0), disc
+        return complex(b / 2.0), complex(b / 2.0)
     if disc < 0.0:
         im = math.sqrt(-disc) / 2.0
-        return complex(b / 2.0, im), complex(b / 2.0, -im), disc
+        return complex(b / 2.0, im), complex(b / 2.0, -im)
     # here sqrt(disc) > 0 and |big| >= sqrt(disc) / 2, so c / big is safe
     sq = math.sqrt(disc)
     if b >= 0.0:
         big = (b + sq) / 2.0
-        return complex(big), complex(c / big), disc
+        return complex(big), complex(c / big)
     big = (b - sq) / 2.0
-    return complex(c / big), complex(big), disc
+    return complex(c / big), complex(big)
 
 
 def _max_root_modulus(b, c):
@@ -209,33 +196,19 @@ def _accelerated_coefficients(lam, beta):
     return beta * lam, beta - 1.0
 
 
-def map_eigenvalue(lam: float, gamma: float) -> MappedPair:
-    """Both MLA-induced eigenvalues for one eigenvalue of the weight matrix.
-
-    Root sum is gamma*lam, root product (gamma - 1)*lam. At gamma = 1 the
-    pair is exactly {lam, 0}, the DeGroot embedding.
-    """
-    _check_roots(_mla_coefficients, lam, gamma, "gamma")
-    return MappedPair(*_root_pair(*_mla_coefficients(lam, gamma)))
-
-
-def map_eigenvalue_accelerated(lam: float, beta: float) -> MappedPair:
-    """Both accelerated-averaging eigenvalues for one eigenvalue.
-
-    Root sum is beta*lam, root product beta - 1; lam = -1 always yields
-    the pair {-1, 1 - beta}, which is why that model cannot settle on a
-    periodic network.
-    """
-    _check_roots(_accelerated_coefficients, lam, beta, "beta")
-    return MappedPair(*_root_pair(*_accelerated_coefficients(lam, beta)))
-
-
 def lambda_hat_max(lam, gamma):
     """Larger modulus of the two MLA-induced eigenvalues (contour field).
 
     Elementwise over broadcast lam and gamma; a float for scalar input, an
-    empty array when either is empty.
+    empty array when either is empty; BadParameter when they do not
+    broadcast.
     """
+    # a 0-d side broadcasts with anything, so the contour's rows skip the check
+    if np.ndim(lam) and np.ndim(gamma):
+        try:
+            np.broadcast_shapes(np.shape(lam), np.shape(gamma))
+        except ValueError as e:
+            raise BadParameter(f"lam and gamma do not broadcast: {e}") from None
     lam_max, gamma_max = np.abs(lam).max(initial=0.0), np.abs(gamma).max(initial=0.0)
     _check_roots(_mla_coefficients, lam_max, gamma_max, "gamma")
     out = _max_root_modulus(*_mla_coefficients(lam, gamma))
@@ -261,7 +234,7 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     _require_simple_dominant(spec)
     w = spec._floats
     _check_roots(coefficients, max(abs(w[0]), abs(w[-1])), param, name)
-    plus, minus, _ = _root_pair(*coefficients(w[0], param))
+    plus, minus = _root_pair(*coefficients(w[0], param))
     best = abs(minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus)
     lo, hi = 1, len(w) - 1
     # the modulus last read at each end; none read yet, so both may beat best
@@ -293,12 +266,12 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     """Decide MLA convergence for one gamma on a connected symmetric network.
 
     Evaluates the two analytic criteria (gamma strictly inside (0, 2) and
-    2*gamma*lam_n - lam_n + 1 strictly positive) and also reports the
-    brute-force maximum modulus over all mapped non-dominant eigenvalues,
-    so the two routes can be cross-checked. Criterion values within 1e-12
-    of zero are classified non-convergent. Raises DominantNotSimple on a
-    reducible network, whose components never reach a common value, and
-    BadParameter on a gamma that is not finite or overflows the roots.
+    2*gamma*lam_n - lam_n + 1 strictly positive) and reports the largest
+    modulus over the mapped roots but the dominant 1 (`_limiting_modulus`).
+    Criterion values within 1e-12 of zero are classified non-convergent.
+    Raises DominantNotSimple on a reducible network, whose components
+    never reach a common value, and BadParameter on a gamma that is not
+    finite or overflows the roots.
     """
     limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
     lam_n = spec._floats[-1]
@@ -311,9 +284,9 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
 def rho_ess_mla(spec: Spectrum, gamma: float) -> float:
     """Essential spectral radius of the stacked MLA iteration at gamma.
 
-    Exhaustive maximum over all 2n mapped roots minus the single dominant
-    one. Raises NotConvergent when the convergence criteria fail, since a
-    "rate" would be meaningless there.
+    The largest modulus over the 2n mapped roots but the dominant 1, as
+    `check_mla_convergence` reports it. Raises NotConvergent when the
+    convergence criteria fail, since a "rate" would be meaningless there.
     """
     verdict = check_mla_convergence(spec, gamma)
     if not verdict.converges:
@@ -378,8 +351,8 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     one. The closed-form rate sqrt(1 + rho) - 1 is exact when the
     smallest eigenvalue carries the essential radius and the second
     eigenvalue is at most a third of its magnitude; outside those
-    hypotheses the returned rate is recomputed honestly from the
-    exhaustive mapping and hypotheses_met is False.
+    hypotheses the returned rate is recomputed by `rho_ess_mla` and
+    hypotheses_met is False.
     """
     w = spec.eigenvalues
     lam_n = float(w[-1])

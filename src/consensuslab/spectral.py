@@ -147,14 +147,15 @@ def _require_simple_dominant(spec: Spectrum) -> None:
     1, as no row-stochastic spectrum is; DominantNotSimple when a second
     one sits at 1: a reducible network, whose components settle apart.
     """
-    w = spec.eigenvalues
-    if abs(float(w[0]) - 1.0) > _DOMINANT_ONE_TOL:
+    # Python floats: a float32 spectrum would round the bound 1 - 1e-10 to 1
+    w = spec._floats
+    if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:
         raise AssumptionViolated(
-            f"dominant eigenvalue {float(w[0])!r} is not 1; input is not a valid "
+            f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
             "row-stochastic network spectrum"
         )
-    if w.size >= 2 and w[1] > 1.0 - _UNIT_EIGENVALUE_TOL:
+    if len(w) >= 2 and w[1] > 1.0 - _UNIT_EIGENVALUE_TOL:
         raise DominantNotSimple(
-            f"network is reducible: second eigenvalue {float(w[1])!r} "
+            f"network is reducible: second eigenvalue {w[1]!r} "
             f"is within {_UNIT_EIGENVALUE_TOL:g} of 1"
         )

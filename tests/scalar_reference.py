@@ -1,23 +1,24 @@
 """Reference formulations and oracles the library is checked against.
 
-The root mapping, one Python call per eigenvalue with both signed roots:
-the formulation the modulus kernel `_max_root_modulus` and the scalar
-`_root_pair` in `consensuslab.analysis` must reproduce bit for bit. The
-simulator with each model's update rule written out in its own loop
-branch: the formulation the single update kernel in `consensuslab.dynamics`
-replaced. And the independent routes to the same answers: one model step
-from the update kernel, the explicit 2n-by-2n block matrix of the stacked
-MLA state with its eigenpair residual, and the half-plane root test. And
-the file writers and ring generator with one Python step per entry: the
-formulations the numpy text routines and `np.roll` replaced, byte for
-byte. And the golden-section search for beta* that its closed form
-replaced.
+The root mapping, one Python call per eigenvalue with both signed roots,
+and its brute-force maximum over a spectrum: what `_root_pair` and the
+modulus kernels of `consensuslab.analysis` must reproduce bit for bit.
+The simulator with each model's update rule written out in its own loop
+branch: the formulation the single update kernel in
+`consensuslab.dynamics` replaced. And the independent routes to the same
+answers: one model step from the update kernel, the explicit 2n-by-2n
+block matrix of the stacked MLA state with its eigenpair residual, and
+the half-plane root test. And the file writers and ring generator with
+one Python step per entry: the formulations the numpy text routines and
+`np.roll` replaced, byte for byte. And the golden-section search for
+beta* that its closed form replaced.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +26,17 @@ from consensuslab.analysis import (
     CRITERION_BOUNDARY_TOL,
     BetaStar,
     ConvergenceVerdict,
-    MappedPair,
 )
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
 from consensuslab.net import validate
 from consensuslab.sim import TraceSummary, _substream
 from consensuslab.spectral import rho_ess
+
+
+class MappedPair(NamedTuple):
+    lambda_plus: complex
+    lambda_minus: complex
+    discriminant: float
 
 
 def roots_sum_product(b: float, c: float) -> tuple[complex, complex, float]:

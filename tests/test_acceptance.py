@@ -18,7 +18,6 @@ from consensuslab import (
     fit_rate,
     improving_gamma_exists,
     make_ring,
-    map_eigenvalue,
     optimal_beta,
     optimal_gamma,
     random_symmetric_stochastic,
@@ -30,6 +29,7 @@ from consensuslab import (
 )
 from scalar_reference import (
     augmented_matrix,
+    map_eigenvalue,
     roots_in_unit_disk_via_halfplane,
     verify_augmented_eigenpair,
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import consensuslab
 from consensuslab import (
     AssumptionViolated,
     BadParameter,
@@ -20,9 +21,8 @@ from consensuslab import (
     eigendecompose_symmetric,
     improving_gamma_exists,
     lambda_hat_max,
+    analysis,
     make_ring,
-    map_eigenvalue,
-    map_eigenvalue_accelerated,
     model_rate,
     optimal_beta,
     optimal_gamma,
@@ -43,6 +43,17 @@ def synthetic_spectrum(eigenvalues):
     return Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
 
 
+def mla_pair(lam, gamma):
+    """Signed MLA roots (plus, minus) of one eigenvalue, as the library
+    maps the dominant one."""
+    return analysis._root_pair(*analysis._mla_coefficients(lam, gamma))
+
+
+def accelerated_pair(lam, beta):
+    """Signed accelerated roots (plus, minus) of one eigenvalue."""
+    return analysis._root_pair(*analysis._accelerated_coefficients(lam, beta))
+
+
 def direct_roots(a, b):
     """Quadratic formula for z^2 + a z + b with complex coefficients."""
     sq = cmath.sqrt(a * a - 4.0 * b)
@@ -51,26 +62,25 @@ def direct_roots(a, b):
 
 class TestMapEigenvalue:
     def test_dominant_pair(self):
-        pair = map_eigenvalue(1.0, 0.5)
-        assert pair.lambda_plus == 1.0
-        assert pair.lambda_minus == -0.5
+        plus, minus = mla_pair(1.0, 0.5)
+        assert plus == 1.0
+        assert minus == -0.5
 
     def test_zero_collapses(self):
         for g in (-0.5, 0.0, 1.0, 2.5):
-            pair = map_eigenvalue(0.0, g)
-            assert pair.lambda_plus == 0.0 and pair.lambda_minus == 0.0
+            plus, minus = mla_pair(0.0, g)
+            assert plus == 0.0 and minus == 0.0
 
     def test_complex_pair_example(self):
-        pair = map_eigenvalue(-1.0, 0.5)
+        plus, minus = mla_pair(-1.0, 0.5)
         want = complex(-0.25, math.sqrt(1.75) / 2.0)
-        assert abs(pair.lambda_plus - want) <= 1e-12
-        assert abs(pair.lambda_minus - want.conjugate()) <= 1e-12
-        assert abs(abs(pair.lambda_plus) - math.sqrt(0.5)) <= 1e-12
+        assert abs(plus - want) <= 1e-12
+        assert abs(minus - want.conjugate()) <= 1e-12
+        assert abs(abs(plus) - math.sqrt(0.5)) <= 1e-12
 
     def test_degroot_embedding_is_exact(self):
         for lam in np.linspace(-1.0, 1.0, 41):
-            pair = map_eigenvalue(float(lam), 1.0)
-            assert {pair.lambda_plus, pair.lambda_minus} == {complex(lam), 0j}
+            assert set(mla_pair(float(lam), 1.0)) == {complex(lam), 0j}
 
     @given(
         lam=st.floats(min_value=-1.0, max_value=1.0),
@@ -78,29 +88,26 @@ class TestMapEigenvalue:
     )
     @settings(max_examples=300, deadline=None)
     def test_residual_and_vieta(self, lam, gamma):
-        pair = map_eigenvalue(lam, gamma)
-        for z in (pair.lambda_plus, pair.lambda_minus):
+        plus, minus = mla_pair(lam, gamma)
+        for z in (plus, minus):
             assert abs(z * z - gamma * lam * z + (gamma - 1.0) * lam) <= 1e-12
-        assert abs(pair.lambda_plus * pair.lambda_minus - (gamma - 1.0) * lam) <= 1e-12
-        assert abs(pair.lambda_plus + pair.lambda_minus - gamma * lam) <= 1e-12
+        assert abs(plus * minus - (gamma - 1.0) * lam) <= 1e-12
+        assert abs(plus + minus - gamma * lam) <= 1e-12
 
     def test_complex_region_modulus_is_root_product(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         for _ in range(200):
             lam = rng.uniform(-1.0, 1.0)
             g = rng.uniform(-0.5, 2.5)
-            pair = map_eigenvalue(lam, g)
-            if pair.discriminant < 0:
-                assert abs(abs(pair.lambda_plus) ** 2 - (g - 1.0) * lam) <= 1e-12
+            plus, _ = mla_pair(lam, g)
+            if (g * lam) ** 2 - 4.0 * (g - 1.0) * lam < 0:
+                assert abs(abs(plus) ** 2 - (g - 1.0) * lam) <= 1e-12
 
     def test_small_memory_perturbation_approximation(self):
         # gamma = 1 + delta with tiny delta: roots approach {lam + delta*(lam-1), delta}
         delta = 1e-5
         for lam in (-0.9, -0.3, 0.3, 0.9):
-            pair = map_eigenvalue(lam, 1.0 + delta)
-            roots = sorted(
-                [pair.lambda_plus, pair.lambda_minus], key=lambda z: abs(z)
-            )
+            roots = sorted(mla_pair(lam, 1.0 + delta), key=abs)
             assert abs(roots[0] - delta) <= 1e-8
             assert abs(roots[1] - (lam + delta * (lam - 1.0))) <= 1e-8
 
@@ -108,17 +115,14 @@ class TestMapEigenvalue:
 class TestMapEigenvalueAccelerated:
     def test_periodic_eigenvalue_pair(self):
         for beta in (-0.5, 0.3, 1.0, 1.2, 2.4):
-            pair = map_eigenvalue_accelerated(-1.0, beta)
-            roots = {pair.lambda_plus, pair.lambda_minus}
+            roots = accelerated_pair(-1.0, beta)
             assert any(abs(z + 1.0) <= 1e-12 for z in roots)
             assert any(abs(z - (1.0 - beta)) <= 1e-12 for z in roots)
 
     def test_beta_one_reduces_to_degroot(self):
-        pair = map_eigenvalue_accelerated(1.0, 1.0)
-        assert {pair.lambda_plus, pair.lambda_minus} == {1 + 0j, 0j}
+        assert set(accelerated_pair(1.0, 1.0)) == {1 + 0j, 0j}
         for lam in (-0.7, 0.0, 0.4):
-            pair = map_eigenvalue_accelerated(lam, 1.0)
-            assert {pair.lambda_plus, pair.lambda_minus} == {complex(lam), 0j}
+            assert set(accelerated_pair(lam, 1.0)) == {complex(lam), 0j}
 
     @given(
         lam=st.floats(min_value=-1.0, max_value=1.0),
@@ -126,11 +130,11 @@ class TestMapEigenvalueAccelerated:
     )
     @settings(max_examples=300, deadline=None)
     def test_residual_and_vieta(self, lam, beta):
-        pair = map_eigenvalue_accelerated(lam, beta)
-        for z in (pair.lambda_plus, pair.lambda_minus):
+        plus, minus = accelerated_pair(lam, beta)
+        for z in (plus, minus):
             assert abs(z * z - beta * lam * z + (beta - 1.0)) <= 1e-12
-        assert abs(pair.lambda_plus * pair.lambda_minus - (beta - 1.0)) <= 1e-12
-        assert abs(pair.lambda_plus + pair.lambda_minus - beta * lam) <= 1e-12
+        assert abs(plus * minus - (beta - 1.0)) <= 1e-12
+        assert abs(plus + minus - beta * lam) <= 1e-12
 
 
 class TestConvergenceVerdict:
@@ -191,8 +195,7 @@ class TestHalfplaneTransform:
 
     def test_matches_mapped_modulus_near_critical_point(self):
         lam, g = -0.8, 0.8541019662
-        pair = map_eigenvalue(lam, g)
-        direct = max(abs(pair.lambda_plus), abs(pair.lambda_minus)) < 1.0
+        direct = max(map(abs, mla_pair(lam, g))) < 1.0
         assert roots_in_unit_disk_via_halfplane(-g * lam, (g - 1.0) * lam) == direct
 
     @given(
@@ -276,17 +279,15 @@ class TestParameterGuards:
 
     @pytest.mark.parametrize("param", BAD)
     def test_scalar_maps(self, param):
-        for f in (map_eigenvalue, map_eigenvalue_accelerated, lambda_hat_max):
-            with pytest.raises(BadParameter):
-                f(0.5, param)
+        with pytest.raises(BadParameter):
+            lambda_hat_max(0.5, param)
         with pytest.raises(BadParameter):
             lambda_hat_max(0.5, np.array([0.5, param]))
 
     @pytest.mark.parametrize("lam", (np.nan, np.inf, -np.inf, 1e200))
     def test_non_finite_or_huge_eigenvalue(self, lam):
-        for f in (map_eigenvalue, map_eigenvalue_accelerated, lambda_hat_max):
-            with pytest.raises(BadParameter):
-                f(lam, 0.5)
+        with pytest.raises(BadParameter):
+            lambda_hat_max(lam, 0.5)
         with pytest.raises(BadParameter):
             lambda_hat_max(np.array([0.0, lam]), 0.5)
 
@@ -391,7 +392,7 @@ class TestLambdaHatMax:
     def test_monotone_ordering_at_optimum(self):
         # positive eigenvalues: larger lam gives a larger plus-branch root
         lams = np.linspace(0.05, 1.0, 20)
-        plus = [map_eigenvalue(float(l), GAMMA_STAR).lambda_plus.real for l in lams]
+        plus = [mla_pair(float(l), GAMMA_STAR)[0].real for l in lams]
         assert np.all(np.diff(plus) > 0)
         # negative eigenvalues in [lam_n, 0]: modulus grows with |lam|
         lams = np.linspace(-0.8, 0.0, 20)
@@ -408,6 +409,13 @@ class TestLambdaHatMax:
             with pytest.raises(BadParameter):
                 lambda_hat_max(lam, gamma)
 
+    @pytest.mark.parametrize("shapes", [((0,), (2,)), ((2,), (3,))])
+    def test_shapes_that_do_not_broadcast(self, shapes):
+        lam, gamma = (np.full(shape, 0.5) for shape in shapes)
+        for args in ((lam, gamma), (gamma, lam)):
+            with pytest.raises(BadParameter, match="do not broadcast"):
+                lambda_hat_max(*args)
+
 
 class TestOptimalGamma:
     def test_ring_with_loops(self, ring4_loops_spectrum):
@@ -415,7 +423,7 @@ class TestOptimalGamma:
         assert gs.gamma == pytest.approx(GAMMA_STAR, abs=1e-9)
         assert gs.rate == pytest.approx(RATE_STAR, abs=1e-9)
         assert gs.hypotheses_met
-        # the closed-form rate is exactly what the exhaustive mapping reports
+        # the closed-form rate is what the radius read off the spectrum gives
         assert gs.rate == pytest.approx(
             rho_ess_mla(ring4_loops_spectrum, gs.gamma), abs=1e-9
         )
@@ -534,3 +542,12 @@ class TestImprovingGamma:
         got = improving_gamma_exists(synthetic_spectrum([1.0, 0.7, -0.2]))
         assert got is not None
         assert got[0] > 0
+
+
+def test_public_surface():
+    # every exported name resolves; the per-eigenvalue mappers are gone, as
+    # the library reads its rates through the modulus kernels alone
+    assert all(hasattr(consensuslab, name) for name in consensuslab.__all__)
+    for name in ("map_eigenvalue", "map_eigenvalue_accelerated", "MappedPair"):
+        assert not hasattr(consensuslab, name)
+        assert not hasattr(analysis, name)

@@ -15,7 +15,6 @@ from consensuslab import (
     ModelParams,
     check_mla_convergence,
     consensus_value,
-    map_eigenvalue,
     optimal_beta,
     optimal_gamma,
     rho_ess,
@@ -24,7 +23,11 @@ from consensuslab import (
     simulate_trajectory,
 )
 from consensuslab.spectral import certificate_bound
-from scalar_reference import augmented_matrix, verify_augmented_eigenpair
+from scalar_reference import (
+    augmented_matrix,
+    map_eigenvalue,
+    verify_augmented_eigenpair,
+)
 
 
 def test_corpus_covers_the_large_sizes(corpus_large):

@@ -15,14 +15,18 @@ from consensuslab import (
     eigendecompose_symmetric,
     lambda_hat_max,
     make_ring,
-    map_eigenvalue,
-    map_eigenvalue_accelerated,
     optimal_beta,
     rho_ess,
     rho_ess_accelerated,
     rho_ess_mla,
 )
-from consensuslab.analysis import _larger_modulus, _max_root_modulus
+from consensuslab.analysis import (
+    _accelerated_coefficients,
+    _larger_modulus,
+    _max_root_modulus,
+    _mla_coefficients,
+    _root_pair,
+)
 from consensuslab.cli import main
 from consensuslab.spectral import Spectrum, certificate_bound
 
@@ -98,13 +102,12 @@ def test_dominant_root_matches_scalar_reference(lam0, rest, param):
 @settings(max_examples=300, deadline=None)
 def test_scalar_wrappers_match_reference_near_double_root(g, k):
     lam = nudged(4.0 * (g - 1.0) / (g * g), k)
-    for mapped, want in (
-        (map_eigenvalue(lam, g), ref.map_eigenvalue(lam, g)),
-        (map_eigenvalue_accelerated(lam, g), ref.map_eigenvalue_accelerated(lam, g)),
-    ):
-        assert bits(mapped.lambda_plus) == bits(want.lambda_plus)
-        assert bits(mapped.lambda_minus) == bits(want.lambda_minus)
-        assert bits(mapped.discriminant) == bits(want.discriminant)
+    for coefficients in (_mla_coefficients, _accelerated_coefficients):
+        b, c = coefficients(lam, g)
+        plus, minus = _root_pair(b, c)
+        want_plus, want_minus, _ = ref.roots_sum_product(b, c)
+        assert bits(plus) == bits(want_plus)
+        assert bits(minus) == bits(want_minus)
     assert bits(lambda_hat_max(lam, g)) == bits(ref.lambda_hat_max(lam, g))
 
 

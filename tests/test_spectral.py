@@ -20,7 +20,6 @@ from consensuslab import (
     eigendecompose_symmetric,
     improving_gamma_exists,
     make_ring,
-    map_eigenvalue,
     model_rate,
     optimal_beta,
     optimal_gamma,
@@ -31,7 +30,11 @@ from consensuslab import (
     validate,
 )
 from consensuslab.spectral import Spectrum, certificate_bound
-from scalar_reference import augmented_eigenvector, verify_augmented_eigenpair
+from scalar_reference import (
+    augmented_eigenvector,
+    map_eigenvalue,
+    verify_augmented_eigenpair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +291,14 @@ class TestRhoEss:
         with pytest.raises(DominantNotSimple):
             model_rate(identity, ModelParams.degroot())
         assert issubclass(DominantNotSimple, AssumptionViolated)
+
+    def test_float32_repeated_one_is_reducible(self):
+        # in float32, 1 - 1e-10 rounds to 1 and a second 1 would pass as simple
+        spec = Spectrum(np.array([1, 1, 0.5, -0.3], dtype=np.float32), np.eye(4))
+        with pytest.raises(DominantNotSimple):
+            rho_ess(spec)
+        with pytest.raises(DominantNotSimple):
+            check_mla_convergence(spec, 0.5)
 
     def test_below_one_iff_primitive(self, corpus20):
         nets = [A for A, _ in corpus20]
