@@ -28,7 +28,6 @@ closed forms in the essential radius; only gamma*'s needs hypotheses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -60,8 +59,7 @@ def _rate_tol(n: int) -> float:
 _CANCELLATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(NamedTuple):
     """Outcome of the MLA convergence test for one gamma.
 
     criterion_ii_value is 2*gamma*lam_n - lam_n + 1, which must be
@@ -92,18 +90,19 @@ class BetaStar(NamedTuple):
 _CANCELLATION_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 
-def _root_pair(b: float, c: float) -> tuple[complex, complex]:
+def _root_pair(b: float, c: float) -> tuple[float | complex, float | complex]:
     """Roots (plus, minus) of z^2 - b z + c = 0.
 
     The stable recipe: a real pair takes its larger-magnitude root from the
-    formula, the other from the product c, and +0.0 imaginary parts.
+    formula, the other from the product c. A real or double pair comes back
+    as Python floats; only a conjugate pair builds complex numbers.
     """
     b, c = float(b), float(c)
     bb = b * b
     c4 = 4.0 * c
     disc = bb - c4
     if abs(disc) <= _CANCELLATION_FLOOR * (bb + abs(c4)):
-        return complex(b / 2.0), complex(b / 2.0)
+        return b / 2.0, b / 2.0
     if disc < 0.0:
         im = math.sqrt(-disc) / 2.0
         return complex(b / 2.0, im), complex(b / 2.0, -im)
@@ -111,9 +110,9 @@ def _root_pair(b: float, c: float) -> tuple[complex, complex]:
     sq = math.sqrt(disc)
     if b >= 0.0:
         big = (b + sq) / 2.0
-        return complex(big), complex(c / big)
+        return big, c / big
     big = (b - sq) / 2.0
-    return complex(c / big), complex(big)
+    return c / big, big
 
 
 def _max_root_modulus(b, c):
@@ -199,17 +198,22 @@ def _accelerated_coefficients(lam, beta):
 def lambda_hat_max(lam, gamma):
     """Larger modulus of the two MLA-induced eigenvalues (contour field).
 
-    Elementwise over broadcast lam and gamma; a float for scalar input, an
-    empty array when either is empty; BadParameter when they do not
-    broadcast.
+    Elementwise over broadcast lam and gamma, numbers or array-likes; a
+    float for scalar input, an empty array when either is empty;
+    BadParameter when either is not real or they do not broadcast.
     """
-    # a 0-d side broadcasts with anything, so the contour's rows skip the check
-    if np.ndim(lam) and np.ndim(gamma):
-        try:
-            np.broadcast_shapes(np.shape(lam), np.shape(gamma))
-        except ValueError as e:
-            raise BadParameter(f"lam and gamma do not broadcast: {e}") from None
-    lam_max, gamma_max = np.abs(lam).max(initial=0.0), np.abs(gamma).max(initial=0.0)
+    # scalars stay as given, so a numpy scalar sets the roots' precision
+    try:
+        lam, gamma = (x if np.isscalar(x) else np.asarray(x) for x in (lam, gamma))
+        if not {np.result_type(lam).kind, np.result_type(gamma).kind} <= set("biuf"):
+            raise TypeError("complex or object values")
+        lam_max, gamma_max = np.abs(lam).max(initial=0.0), np.abs(gamma).max(initial=0.0)
+    except (TypeError, ValueError) as e:
+        raise BadParameter(f"lam and gamma must be real numbers: {e}") from None
+    try:
+        np.broadcast_shapes(np.shape(lam), np.shape(gamma))
+    except ValueError as e:
+        raise BadParameter(f"lam and gamma do not broadcast: {e}") from None
     _check_roots(_mla_coefficients, lam_max, gamma_max, "gamma")
     out = _max_root_modulus(*_mla_coefficients(lam, gamma))
     return float(out) if out.ndim == 0 else out

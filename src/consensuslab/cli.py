@@ -257,16 +257,19 @@ def cmd_figure(args, parser) -> int:
             grid_path = os.path.join(out_dir, "contour_grid.csv")
             lams = np.linspace(-1.0, 1.0, 201)
             gams = np.linspace(0.0, 2.0, 201)
-            # one kernel call and one %-format per lambda row: the row
+            # one kernel call and one %-format per block of 16 lambda rows,
+            # which keeps the kernel's temporaries well under 1 MB: a row's
             # template "lam,g0,%.17g\nlam,g1,%.17g\n..." is lam joined
             # between the per-gamma cells, which are formatted once
             cells = [f",{g:.17g},%.17g\n" for g in gams]
             with open(grid_path, "w") as fh:
                 fh.write("lambda,gamma,value\n")
-                for lam in lams:
-                    lam_str = f"{lam:.17g}"
-                    row = analysis.lambda_hat_max(lam, gams).tolist()
-                    fh.write((lam_str + lam_str.join(cells)) % tuple(row))
+                for start in range(0, lams.size, 16):
+                    block = lams[start : start + 16]
+                    values = analysis.lambda_hat_max(block[:, None], gams)
+                    rows = map("{:.17g}".format, block)
+                    template = "".join(s + s.join(cells) for s in rows)
+                    fh.write(template % tuple(values.ravel().tolist()))
             written.append(grid_path)
             locus_path = os.path.join(out_dir, "contour_disc_zero.csv")
             with open(locus_path, "w") as fh:

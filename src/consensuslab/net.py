@@ -143,8 +143,8 @@ def analyze_structure(A: WeightedAdjacency) -> StructureReport:
     floating values, in polynomial time:
 
     - irreducible: breadth-first search from node 0 reaches every node
-      along the pattern and along its transpose; each frontier step is
-      one vectorised row-any, at most diameter + 1 steps per direction.
+      along the pattern and, if it is not symmetric, along its transpose;
+      each frontier step is one vectorised row-any, diameter + 1 at most.
     - primitive: irreducible with period 1, where the period is the gcd
       of level[u] + 1 - level[v] over the edges (u, v) and level is the
       BFS depth from node 0 (Denardo, "Periods of connected networks and
@@ -158,7 +158,10 @@ def analyze_structure(A: WeightedAdjacency) -> StructureReport:
 
     pattern = W > 0.0
     level = _bfs_levels(pattern)
-    irreducible = bool((level >= 0).all() and (_bfs_levels(pattern.T) >= 0).all())
+    irreducible = bool(
+        (level >= 0).all()
+        and (np.array_equal(pattern, pattern.T) or (_bfs_levels(pattern.T) >= 0).all())
+    )
 
     witness_k = None
     if irreducible:

@@ -1,8 +1,10 @@
 """Reference formulations and oracles the library is checked against.
 
-The root mapping, one Python call per eigenvalue with both signed roots,
-and its brute-force maximum over a spectrum: what `_root_pair` and the
-modulus kernels of `consensuslab.analysis` must reproduce bit for bit.
+The root mapping, one Python call per eigenvalue with both signed roots
+as complex numbers, and its brute-force maximum over a spectrum: what
+`_root_pair` (Python floats for a real or double pair, the same values)
+and the modulus kernels of `consensuslab.analysis` must reproduce bit for
+bit.
 The simulator with each model's update rule written out in its own loop
 branch: the formulation the single update kernel in
 `consensuslab.dynamics` replaced. And the independent routes to the same

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from consensuslab import (
     AssumptionViolated,
     BadParameter,
     BadSpectrum,
+    ConvergenceVerdict,
     DegenerateSpectrum,
     DominantNotSimple,
     ModelParams,
@@ -160,6 +162,24 @@ class TestConvergenceVerdict:
     def test_rejects_non_stochastic_spectrum(self):
         with pytest.raises(AssumptionViolated):
             check_mla_convergence(synthetic_spectrum([0.9, 0.1]), 0.5)
+
+    def test_is_an_immutable_named_tuple(self):
+        v = ConvergenceVerdict(
+            converges=True,
+            gamma_in_range=True,
+            criterion_ii_value=0.5,
+            limiting_eigenvalue_modulus=0.25,
+        )
+        assert v == ConvergenceVerdict(True, True, 0.5, 0.25)
+        assert tuple(v) == (v.converges, v.gamma_in_range, v[2], v[3])
+        assert v._fields == (
+            "converges",
+            "gamma_in_range",
+            "criterion_ii_value",
+            "limiting_eigenvalue_modulus",
+        )
+        with pytest.raises(AttributeError):
+            v.converges = False
 
     def test_verdict_agrees_with_explicit_eigenvalues(self, corpus20):
         rng = np.random.Generator(np.random.Philox(key=21))
@@ -408,6 +428,24 @@ class TestLambdaHatMax:
         for lam, gamma in ((empty, np.nan), (np.nan, empty)):
             with pytest.raises(BadParameter):
                 lambda_hat_max(lam, gamma)
+
+    def test_sequences_read_as_arrays(self):
+        lams, gams = [-1.0, 0.1, 0.2], [0.5, 1.5]
+        want = lambda_hat_max(np.array(lams)[:, None], np.array(gams))
+        got = lambda_hat_max([[lam] for lam in lams], gams)
+        assert got.tobytes() == want.tobytes()
+        assert lambda_hat_max(0.1, [0.5]).tobytes() == lambda_hat_max(
+            0.1, np.array([0.5])
+        ).tobytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [(["x"], 0.5), (0.5, "x"), (None, 0.5), (0.5, 1j), (Fraction(1, 2), 0.5),
+         (np.array([0.5], dtype=object), 0.5), ([[0.1], [0.2, 0.3]], 0.5)],
+    )
+    def test_input_that_is_not_real(self, args):
+        with pytest.raises(BadParameter):
+            lambda_hat_max(*args)
 
     @pytest.mark.parametrize("shapes", [((0,), (2,)), ((2,), (3,))])
     def test_shapes_that_do_not_broadcast(self, shapes):

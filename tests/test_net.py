@@ -215,6 +215,14 @@ class TestStructureOracle:
         for A, _ in corpus20 + corpus100:
             assert flags(analyze_structure(A)) == brute_structure(A.weights)
 
+    def test_float_symmetric_but_reducible(self):
+        # symmetric within tolerance, yet 1 -> 2 has no edge back: only the
+        # search along the transpose shows that node 2 never reaches 0
+        A = validate([[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-13, 1e-13], [0.0, 0.0, 1.0]])
+        rep = analyze_structure(A)
+        assert rep.symmetric
+        assert flags(rep) == brute_structure(A.weights) == (False, False, None)
+
     def test_large_rings_closed_form(self):
         rep = analyze_structure(make_ring(256, 0.0))
         assert rep.irreducible and not rep.primitive and rep.witness_k is None

@@ -1,6 +1,7 @@
 """The root-mapping kernels against the scalar reference, bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ def test_scalar_wrappers_match_reference_near_double_root(g, k):
     assert bits(lambda_hat_max(lam, g)) == bits(ref.lambda_hat_max(lam, g))
 
 
+@pytest.mark.parametrize(
+    "b, c, kind",
+    [(1.5, 0.5, float), (-1.5, 0.5, float), (2.0, 1.0, float), (0.0, 0.0, float),
+     (1.0, 1.0, complex)],
+)
+def test_root_pair_builds_complex_only_for_a_conjugate_pair(b, c, kind):
+    assert all(type(z) is kind for z in _root_pair(b, c))
+
+
 def test_contour_grid_matches_scalar_reference(tmp_path, capsys):
     assert main(["figure", "contour", "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "contour_grid.csv").read_text().splitlines()
@@ -122,6 +132,18 @@ def test_contour_grid_matches_scalar_reference(tmp_path, capsys):
         for g in gams
     ]
     assert lines == want
+
+
+def test_contour_peak_memory_stays_small(tmp_path, capsys):
+    # the grid goes through the kernel in blocks of rows: one 201-by-201
+    # call would peak at several MB of temporaries
+    tracemalloc.start()
+    try:
+        assert main(["figure", "contour", "--out-dir", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 PARAMS = np.linspace(-0.5, 2.5, 61)
