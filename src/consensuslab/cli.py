@@ -13,6 +13,7 @@ import argparse
 import functools
 import os
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -101,12 +102,12 @@ def cmd_analyze(args, parser) -> int:
     spec = eigendecompose_symmetric(A)
     rho = rho_ess(spec)
 
+    # beta* needs 0 < rho < 1; gamma* also needs a negative lambda_n
     gs = bs = None
-    try:
+    with suppress(BadSpectrum):
         gs = analysis.optimal_gamma(spec)
+    with suppress(BadSpectrum):
         bs = analysis.optimal_beta(spec)
-    except BadSpectrum:
-        pass
     chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
 
     verdict = gamma_rate = None
@@ -142,17 +143,21 @@ def cmd_analyze(args, parser) -> int:
         print(f"agents:      {A.n}")
         print("spectrum:    " + ", ".join(f % v for v in spec.eigenvalues))
         print(f"rho_ess(A):  {f % rho}   (DeGroot rate)")
-        if gs is not None and bs is not None:
+        if gs is not None:
             valid = "closed form valid" if gs.hypotheses_met else "recomputed honestly"
             print(f"gamma* = {f % gs.gamma}   MLA rate {f % gs.rate}   ({valid})")
-            print(f"beta*  = {f % bs.beta}   accelerated rate {f % bs.rate}")
-            print(f"rate ordering MLA < accelerated < DeGroot: {chain_ok}")
-        else:
+        elif bs is not None:
+            print("gamma* unavailable: needs a negative smallest eigenvalue")
+        if bs is None:
             print(
                 "optimal parameters unavailable: needs a primitive network "
                 "with a negative smallest eigenvalue and essential radius "
                 "inside (0, 1)"
             )
+        else:
+            print(f"beta*  = {f % bs.beta}   accelerated rate {f % bs.rate}")
+        if gs is not None:
+            print(f"rate ordering MLA < accelerated < DeGroot: {chain_ok}")
         if verdict is not None:
             if verdict.converges:
                 print(f"gamma={f % args.gamma}: convergent, rate {f % gamma_rate}")

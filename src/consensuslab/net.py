@@ -53,11 +53,18 @@ class StructureReport:
 def validate(weights) -> WeightedAdjacency:
     """Wrap a raw matrix after checking non-negativity and row sums.
 
-    Raises NotSquare, BadParameter (n < 2), NonFiniteWeight (NaN or
-    infinite entry), NegativeWeight, or RowSumViolation. Row sums must be
-    1 within 1e-12.
+    Raises BadParameter on entries that are not real numbers (complex,
+    non-numeric strings, ragged rows) or n < 2, NotSquare, NonFiniteWeight
+    (NaN or infinite entry, None included), NegativeWeight, or
+    RowSumViolation. Row sums must be 1 within 1e-12.
     """
-    W = np.array(weights, dtype=float)
+    try:
+        # numpy would drop the imaginary parts of a complex array with a warning
+        if isinstance(weights, np.ndarray) and weights.dtype.kind == "c":
+            raise TypeError("complex values")
+        W = np.array(weights, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise BadParameter(f"weights must be a matrix of real numbers: {e}") from None
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {W.shape}")
     n = W.shape[0]

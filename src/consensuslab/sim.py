@@ -14,6 +14,7 @@ is well-defined even for models that oscillate forever.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelParams, _check_vector, _states
-from .errors import BadParameter, InsufficientData, NormalizationFailed
+from .errors import BadParameter, InsufficientData, NormalizationFailed, NotConvergent
 from .net import WeightedAdjacency, require_symmetric, validate
 
 _MASK64 = (1 << 64) - 1
@@ -103,58 +104,51 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
 
     Deterministic: identical (A, cfg) always produce bit-identical
     summaries. Initial states are uniform on [0, 1); the memory models
-    start from x(-1) = x(0). A divergent model stops at the first step
-    whose envelope is not finite (see TraceSummary), without raising
+    start from x(-1) = x(0). A divergent model stops before the first
+    step whose envelope is not finite (see TraceSummary), without raising
     floating-point warnings.
     """
     X0 = np.array([_initial_state(cfg.seed, i, A.n) for i in range(cfg.runs)])
-
-    env_max = np.empty(cfg.steps + 1)
-    env_min = np.empty(cfg.steps + 1)
-
-    def record(k: int, X: np.ndarray) -> bool:
-        D = X - X.mean(axis=1, keepdims=True)
-        env_max[k] = D.max()
-        env_min[k] = D.min()
-        return math.isfinite(env_max[k]) and math.isfinite(env_min[k])
-
-    record(0, X0)
-    X = X0
-    first_nonfinite = None
+    env_max, env_min = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, X_next in zip(range(1, cfg.steps + 1), _states(A, cfg.model, X0)):
-            if not record(k, X_next):
-                first_nonfinite = k
-                env_max, env_min = env_max[:k], env_min[:k]
+        states = itertools.chain((X0,), _states(A, cfg.model, X0))
+        for X in itertools.islice(states, cfg.steps + 1):
+            D = X - X.mean(axis=1, keepdims=True)
+            hi, lo = D.max(), D.min()
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 break
-            X = X_next
+            env_max.append(hi)
+            env_min.append(lo)
+            last = D
 
-    D = X - X.mean(axis=1, keepdims=True)
-    final_dev = np.abs(D).max(axis=1)
-    for arr in (env_max, env_min, final_dev):
+    k = len(env_max)  # the first step not recorded, if any
+    arrays = np.array(env_max), np.array(env_min), np.abs(last).max(axis=1)
+    for arr in arrays:
         arr.setflags(write=False)
-    return TraceSummary(
-        env_max=env_max,
-        env_min=env_min,
-        final_max_abs_deviation=final_dev,
-        first_nonfinite_step=first_nonfinite,
-    )
+    return TraceSummary(*arrays, first_nonfinite_step=k if k <= cfg.steps else None)
 
 
 def simulate_trajectory(
     A: WeightedAdjacency, model: ModelParams, x0, steps: int
 ) -> np.ndarray:
-    """States x(0..steps) as rows from x(-1) = x(0) = x0: a batch of one run.
+    """States x(0..steps) as rows, stepped from x(-1) = x(0) = x0.
 
     Raises DimensionMismatch unless x0 has n entries, BadParameter when
-    one is not finite or steps is not an integer >= 0.
+    one is not finite or steps is not an integer >= 0, and NotConvergent
+    at the first state that is not finite, without floating-point
+    warnings (where `run_batch` truncates instead).
     """
     x0 = _check_vector(A, x0, "x0")
     _check_count(steps, "steps", 0)
     out = np.empty((steps + 1, A.n))
     out[0] = x0
-    for k, X in zip(range(1, steps + 1), _states(A, model, x0[None])):
-        out[k] = X[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, X in zip(range(1, steps + 1), _states(A, model, x0[None])):
+            out[k] = X[0]
+    # one pass over all rows costs less than a check per step
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise NotConvergent(f"the states overflow at step {np.argmin(finite)}")
     return out
 
 
@@ -169,13 +163,18 @@ def fit_rate(
     10% of steps and every step whose norm sits below 1e-13, where
     rounding noise dominates. Raises NotSymmetric on an asymmetric
     matrix, whose consensus value is not the initial mean, the
-    `simulate_trajectory` errors on x0 and steps, and InsufficientData
+    `simulate_trajectory` errors on x0 and steps, NotConvergent when the
+    states or their distance to consensus overflow, and InsufficientData
     with fewer than 10 usable points, e.g. when started at consensus.
     """
     require_symmetric(A)
     traj = simulate_trajectory(A, model, x0, steps)
     x_inf = traj[0].mean()
-    norms = np.linalg.norm(traj - x_inf, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(traj - x_inf, axis=1)
+    if not np.isfinite(norms).all():
+        k = np.argmin(np.isfinite(norms))
+        raise NotConvergent(f"the distance to consensus overflows at step {k}")
     k_start = int(np.ceil(FIT_SKIP_FRACTION * steps))
     usable = norms >= FIT_NORM_FLOOR
     usable[:k_start] = False

@@ -147,6 +147,33 @@ class TestAnalyzeCommand:
         assert "rho_ess(A):" in out
         assert "gamma*" in out and "beta*" in out
 
+    def test_beta_star_without_gamma_star(self, capsys):
+        # the lazy ring's spectrum lies in [0, 1]: gamma* needs lambda_n < 0,
+        # beta* only 0 < rho_ess < 1
+        argv = ["analyze", "--ring", "64", "--self-loop", "0.5"]
+        assert main([*argv, "--porcelain"]) == 0
+        kv = porcelain(capsys.readouterr().out)
+        assert kv["beta_star"] == "1.87029435667541"
+        assert kv["accelerated_rate"] == "0.93289568370499498"
+        for key in ("gamma_star", "mla_rate", "mla_hypotheses_met"):
+            assert kv[key] == "nan"
+        assert kv["rate_chain_ok"] == "false"
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:] == [
+            "gamma* unavailable: needs a negative smallest eigenvalue",
+            "beta*  = 1.87029435668   accelerated rate 0.932895683705",
+        ]
+
+    def test_pure_even_ring_prints_no_optima(self, capsys):
+        assert main(["analyze", "--ring", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:] == [
+            "optimal parameters unavailable: needs a primitive network "
+            "with a negative smallest eigenvalue and essential radius "
+            "inside (0, 1)"
+        ]
+
     def test_asymmetric_input_exits_one(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
         p.write_text("2\n0.2 0.8\n0.5 0.5\n")

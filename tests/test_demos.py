@@ -17,10 +17,11 @@ def test_demo_runs(demo, tmp_path):
     src = os.path.dirname(os.path.dirname(consensuslab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # demo 02 writes its envelope CSVs to the working directory
+    # demo 02 writes its envelope CSVs to the working directory; dev mode
+    # and -W error turn any warning a demo raises into a failure
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True,
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,30 @@ class TestValidate:
     def test_too_small(self):
         with pytest.raises(BadParameter):
             validate([[1.0]])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [["a", "b"], ["c", "d"]],
+            [[1, 0], [1]],
+            [[0.5 + 1j, 0.5], [0.5, 0.5]],
+            {"a": 1},
+            np.array([[0.5 + 0j, 0.5], [0.5, 0.5]]),
+        ],
+        ids=["strings", "ragged", "complex-list", "dict", "complex-array"],
+    )
+    def test_not_a_real_matrix(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameter, match="real numbers"):
+                validate(weights)
+
+    def test_numeric_strings_and_none_convert(self):
+        A = validate([["0.25", "0.75"], ["0.75", "0.25"]])
+        assert np.array_equal(A.weights, [[0.25, 0.75], [0.75, 0.25]])
+        with pytest.raises(NonFiniteWeight) as ei:
+            validate([[0.5, 0.5], [None, 0.5]])
+        assert (ei.value.i, ei.value.j) == (1, 0)
 
     def test_weights_are_read_only(self, ring4):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from consensuslab import (
     DimensionMismatch,
     InsufficientData,
     ModelParams,
+    NotConvergent,
     NotSymmetric,
     SimConfig,
     TraceSummary,
@@ -159,6 +162,33 @@ class TestDivergentBatch:
     def test_convergent_batch_has_no_nonfinite_step(self, ring4_loops):
         cfg = SimConfig(model=ModelParams.mla(0.5), steps=50, runs=5, seed=1)
         assert run_batch(ring4_loops, cfg).first_nonfinite_step is None
+
+
+class TestDivergentTrajectory:
+    """A trajectory that overflows raises instead of returning NaN states."""
+
+    ARGS = (make_ring(4, 0.1), ModelParams.mla(3.0), [0.1, 0.9, 0.3, 0.5])
+
+    @pytest.fixture(scope="class")
+    def first_nonfinite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = ref.simulate_trajectory(*self.ARGS, 3000)
+        return int(np.argmin(np.isfinite(traj).all(axis=1)))
+
+    @pytest.mark.parametrize("run", [simulate_trajectory, fit_rate])
+    def test_raises_at_the_first_nonfinite_state(self, run, first_nonfinite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConvergent) as info:
+                run(*self.ARGS, 3000)
+        assert str(info.value) == f"the states overflow at step {first_nonfinite}"
+
+    def test_fit_raises_when_the_distance_overflows(self, first_nonfinite):
+        # finite states above about 1e154 overflow the 2-norm of their distance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConvergent, match="distance to consensus overflows"):
+                fit_rate(*self.ARGS, first_nonfinite - 1)
 
 
 MODELS = (ModelParams.degroot(), ModelParams.accelerated(1.2), ModelParams.mla(0.5))
