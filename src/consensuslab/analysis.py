@@ -23,11 +23,14 @@ accelerated model's flat modulus sqrt(beta - 1) over its conjugate
 region, fall back to `_max_root_modulus` on the unread middle. Either way
 the result is the whole-spectrum maximum, bit for bit. Both optima are
 closed forms in the essential radius; only gamma*'s needs hypotheses.
+Values within the solve error `certificate_bound(n)` count as equal; the
+cancellation guard adds the input error the network checks allow.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -38,25 +41,17 @@ from .errors import (
     BadParameter,
     BadSpectrum,
     DegenerateSpectrum,
+    DimensionMismatch,
     NotConvergent,
 )
 from .net import WeightedAdjacency, require_symmetric
-from .spectral import Spectrum, _require_simple_dominant, certificate_bound, rho_ess
-
-# criterion values this close to zero count as the boundary and are
-# classified non-convergent (the criteria are strict inequalities)
-CRITERION_BOUNDARY_TOL = 1e-12
-
-
-def _rate_tol(n: int) -> float:
-    """Eigenvalues and rates this close count as equal in the optima's
-    hypotheses and the improvement search: 1e-12, or the solve error
-    `certificate_bound(n)` where that is larger (n > 281)."""
-    return max(1e-12, float(certificate_bound(n)))
-
-
-# lambda_2 + lambda_n this close to 0 leaves no unique essential eigenvalue
-_CANCELLATION_TOL = 1e-10
+from .spectral import (
+    Spectrum,
+    _contract_bound,
+    _require_simple_dominant,
+    certificate_bound,
+    rho_ess,
+)
 
 
 class ConvergenceVerdict(NamedTuple):
@@ -175,8 +170,12 @@ _WALK_ROUNDS = 4
 
 def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
     """Raise BadParameter unless the kernels' b*b + |4c| stays finite at |lam|,
-    which also rejects a non-finite lam or param. |b| and |c| grow with
-    |lambda|, so the largest |lambda| of a spectrum or row decides for all."""
+    which also rejects a non-finite lam or param and a param that is not a
+    real number. |b| and |c| grow with |lambda|, so the largest |lambda|
+    of a spectrum or row decides for all."""
+    # the type test first: the ABC check alone costs up to about 1 us a call
+    if type(param) is not float and not isinstance(param, numbers.Real):
+        raise BadParameter(f"{name} must be a real number, got {param!r}")
     lam, param = abs(float(lam)), float(param)
     b, c = coefficients(lam, param)
     if not math.isfinite(b * b + abs(4.0 * c)):
@@ -272,16 +271,17 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     Evaluates the two analytic criteria (gamma strictly inside (0, 2) and
     2*gamma*lam_n - lam_n + 1 strictly positive) and reports the largest
     modulus over the mapped roots but the dominant 1 (`_limiting_modulus`).
-    Criterion values within 1e-12 of zero are classified non-convergent.
-    Raises DominantNotSimple on a reducible network, whose components
-    never reach a common value, and BadParameter on a gamma that is not
-    finite or overflows the roots.
+    A criterion within `certificate_bound(n)` of zero fails, as `rho_ess`
+    reads a lam_n that close to -1 as -1: at gamma = 1 the verdict is
+    DeGroot's. Raises DominantNotSimple on a reducible network, whose
+    components never reach a common value, and BadParameter on a gamma
+    that is not a finite real number or overflows the roots.
     """
     limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
     lam_n = spec._floats[-1]
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
     in_range = 0.0 < gamma < 2.0
-    converges = in_range and criterion > CRITERION_BOUNDARY_TOL
+    converges = in_range and criterion > certificate_bound(len(spec._floats))
     return ConvergenceVerdict(converges, in_range, criterion, limiting)
 
 
@@ -334,17 +334,17 @@ def model_rate(spec: Spectrum, model: ModelParams) -> float:
 def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     """The common limit of all agents under a convergent MLA run.
 
-    Equals w1 . x0 with w1 the dominant left eigenvector scaled to sum 1.
-    For a symmetric weight matrix that is the arithmetic mean of the
-    initial states. Requires the dominant eigenvalue to be simple and x0
-    to be a finite vector of n states.
+    A symmetric A, the only kind accepted, has a uniform dominant left
+    eigenvector, so the limit is the mean of the initial states: a closed
+    form, exact where a computed eigenvector errs as the gap closes.
+    Requires spec to be A's (DimensionMismatch) with a simple dominant
+    eigenvalue, and x0 a finite vector of n states.
     """
     require_symmetric(A)
+    if len(spec._floats) != A.n:
+        raise DimensionMismatch(f"spectrum of {len(spec._floats)} for n = {A.n}")
     _require_simple_dominant(spec)
-    x0 = _check_vector(A, x0, "x0")
-    v1 = spec.eigenvectors[:, 0]
-    w1 = v1 / v1.sum()
-    return float(w1 @ x0)
+    return float(_check_vector(A, x0, "x0").mean())
 
 
 def optimal_gamma(spec: Spectrum) -> GammaStar:
@@ -356,7 +356,7 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     smallest eigenvalue carries the essential radius and the second
     eigenvalue is at most a third of its magnitude; outside those
     hypotheses the returned rate is recomputed by `rho_ess_mla` and
-    hypotheses_met is False.
+    hypotheses_met is False. Both hold within `certificate_bound(n)`.
     """
     w = spec.eigenvalues
     lam_n = float(w[-1])
@@ -366,7 +366,7 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     if not 0.0 < rho < 1.0:
         raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
     lam_2 = float(w[1])
-    tol = _rate_tol(w.size)
+    tol = certificate_bound(w.size)
     gamma_star = 2.0 / rho * (math.sqrt(1.0 + rho) - 1.0)
     hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + tol) and (abs(lam_n + rho) <= tol)
     if hypotheses_met:
@@ -397,24 +397,26 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
     sign chosen by the sign of the essential eigenvalue (a positive
     essential eigenvalue is pushed down by delta > 0, a negative one by
     delta < 0). Returns the first (delta, improved_rate) found, or None
-    when the rate is already 0 or no tried delta improves it. Raises
-    DegenerateSpectrum when the two extreme eigenvalues cancel, because
-    no unique essential eigenvalue exists then.
+    when the rate is already 0 or no tried delta improves it, each within
+    `certificate_bound(n)`. Raises DegenerateSpectrum when the two extreme
+    eigenvalues cancel, as no unique essential eigenvalue exists then:
+    within twice `_contract_bound(n)`, as each of the two may sit that far
+    from an eigenvalue of a network the checks accept.
     """
     w = spec.eigenvalues
-    tol = _rate_tol(w.size)
+    tol = certificate_bound(w.size)
     rho = rho_ess(spec)
     if rho <= tol:
         return None
-    if rho >= 1.0 - tol:
+    if rho == 1.0:
         raise AssumptionViolated(
             "improvement search needs a primitive network (essential radius < 1)"
         )
     lam_2 = float(w[1])
     lam_n = float(w[-1])
-    if abs(lam_2 + lam_n) <= _CANCELLATION_TOL:
+    if abs(lam_2 + lam_n) <= (cancel := 2.0 * _contract_bound(w.size)):
         raise DegenerateSpectrum(
-            f"lambda_2 + lambda_n = {lam_2 + lam_n!r} is within {_CANCELLATION_TOL:g}"
+            f"lambda_2 + lambda_n = {lam_2 + lam_n!r} is within {cancel:g}"
         )
     lam_ess = lam_2 if abs(lam_2) > abs(lam_n) else lam_n
     sign = 1.0 if lam_ess > 0.0 else -1.0

@@ -14,13 +14,14 @@ them through `_states`, one product with the weight matrix per step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .net import WeightedAdjacency
+from .net import WeightedAdjacency, _real_array
 
 
 class ModelKind(Enum):
@@ -34,16 +35,20 @@ class ModelParams:
     """A model choice plus its scalar parameter.
 
     The parameter is beta for the accelerated model and gamma for MLA;
-    DeGroot ignores it. No range is enforced here: whether a parameter
-    value converges is decided by the analysis operations.
+    DeGroot ignores it. It must be a finite real number (BadParameter),
+    kept as given, so a numpy scalar sets the precision of the roots. No
+    range is enforced here: whether a parameter value converges is
+    decided by the analysis operations.
     """
 
     kind: ModelKind
     param: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.param):
-            raise BadParameter(f"model parameter must be finite, got {self.param!r}")
+        if not (isinstance(self.param, numbers.Real) and math.isfinite(self.param)):
+            raise BadParameter(
+                f"model parameter must be a finite real number, got {self.param!r}"
+            )
 
     @classmethod
     def degroot(cls) -> "ModelParams":
@@ -59,8 +64,9 @@ class ModelParams:
 
 
 def _check_vector(A: WeightedAdjacency, x, name: str) -> np.ndarray:
-    """x as a float array after checking its shape (n,) and finiteness."""
-    x = np.asarray(x, dtype=float)
+    """x as a float array after checking that its entries are real numbers,
+    its shape (n,) and its finiteness."""
+    x = _real_array(x, f"{name} must be a vector")
     if x.shape != (A.n,):
         raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({A.n},)")
     if not np.isfinite(x).all():

@@ -10,6 +10,8 @@ constructors.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,36 @@ class StructureReport:
     witness_k: int | None = None
 
 
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """value as an int; BadParameter unless it is an integer (np.int64
+    too, not a float) of at least `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise BadParameter(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _real_array(x, what: str) -> np.ndarray:
+    """A new float array of x; BadParameter("<what> of real numbers: ...")
+    unless x is an array of real numbers.
+
+    numpy infers the dtype once: a complex one, even from complex values
+    inside a list, is rejected rather than cast with its imaginary parts
+    dropped; numeric strings convert as float() reads them and None
+    reads as NaN. A float input is copied once, then cast without a copy.
+    """
+    try:
+        x = np.array(x)
+        if x.dtype.kind == "c":
+            raise TypeError("complex values")
+        return x.astype(float, copy=False)
+    except (TypeError, ValueError) as e:
+        raise BadParameter(f"{what} of real numbers: {e}") from None
+
+
 def validate(weights) -> WeightedAdjacency:
     """Wrap a raw matrix after checking non-negativity and row sums.
 
@@ -58,13 +90,7 @@ def validate(weights) -> WeightedAdjacency:
     (NaN or infinite entry, None included), NegativeWeight, or
     RowSumViolation. Row sums must be 1 within 1e-12.
     """
-    try:
-        # numpy would drop the imaginary parts of a complex array with a warning
-        if isinstance(weights, np.ndarray) and weights.dtype.kind == "c":
-            raise TypeError("complex values")
-        W = np.array(weights, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise BadParameter(f"weights must be a matrix of real numbers: {e}") from None
+    W = _real_array(weights, "weights must be a matrix")
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {W.shape}")
     n = W.shape[0]
@@ -191,9 +217,8 @@ def make_ring(n: int, self_loop: float = 0.0) -> WeightedAdjacency:
     evenly between the two ring neighbors. self_loop = 0 gives the pure
     periodic ring (bipartite for even n, hence never primitive there).
     """
-    if n < 3:
-        raise BadParameter(f"ring needs n >= 3, got {n}")
-    if not 0.0 <= self_loop < 1.0:
+    n = _check_int(n, "ring size n", 3)
+    if not (isinstance(self_loop, numbers.Real) and 0.0 <= self_loop < 1.0):
         raise BadParameter(f"self_loop must lie in [0, 1), got {self_loop!r}")
     off = (1.0 - self_loop) / 2.0
     I = np.eye(n)

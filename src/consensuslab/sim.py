@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ModelParams, _check_vector, _states
-from .errors import BadParameter, InsufficientData, NormalizationFailed, NotConvergent
-from .net import WeightedAdjacency, require_symmetric, validate
+from .errors import InsufficientData, NormalizationFailed, NotConvergent
+from .net import WeightedAdjacency, _check_int, require_symmetric, validate
 
 _MASK64 = (1 << 64) - 1
 
 # fit window: drop the leading transient and anything at the float floor
+# (the norm floor is scaled by max(1, max|x0|) in fit_rate)
 FIT_SKIP_FRACTION = 0.1
 FIT_NORM_FLOOR = 1e-13
 FIT_MIN_POINTS = 10
@@ -35,16 +35,6 @@ FIT_MIN_POINTS = 10
 
 def _substream(seed: int, run: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed ^ run) & _MASK64))
-
-
-def _check_count(value, name: str, least: int) -> None:
-    """BadParameter unless value is an integer (np.int64 too) >= least."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise BadParameter(f"{name} must be >= {least}, got {value}")
 
 
 def _initial_state(seed: int, run: int, n: int) -> np.ndarray:
@@ -62,8 +52,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        _check_count(self.steps, "steps", 1)
-        _check_count(self.runs, "runs", 1)
+        _check_int(self.steps, "steps", 1)
+        _check_int(self.runs, "runs", 1)
+        # kept as a Python int: an np.int64 seed overflows the key's mask
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +131,7 @@ def simulate_trajectory(
     warnings (where `run_batch` truncates instead).
     """
     x0 = _check_vector(A, x0, "x0")
-    _check_count(steps, "steps", 0)
+    _check_int(steps, "steps", 0)
     out = np.empty((steps + 1, A.n))
     out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,8 +152,9 @@ def fit_rate(
     Runs one trajectory, takes the 2-norm distance to the consensus state
     (the initial mean, which a symmetric weight matrix conserves), and
     regresses its log against the step index. The window drops the first
-    10% of steps and every step whose norm sits below 1e-13, where
-    rounding noise dominates. Raises NotSymmetric on an asymmetric
+    10% of steps and every step whose norm sits below 1e-13 times
+    max(1, max|x0|), where rounding noise dominates: the states round
+    relative to their size. Raises NotSymmetric on an asymmetric
     matrix, whose consensus value is not the initial mean, the
     `simulate_trajectory` errors on x0 and steps, NotConvergent when the
     states or their distance to consensus overflow, and InsufficientData
@@ -176,7 +169,7 @@ def fit_rate(
         k = np.argmin(np.isfinite(norms))
         raise NotConvergent(f"the distance to consensus overflows at step {k}")
     k_start = int(np.ceil(FIT_SKIP_FRACTION * steps))
-    usable = norms >= FIT_NORM_FLOOR
+    usable = norms >= FIT_NORM_FLOOR * max(1.0, float(np.abs(traj[0]).max()))
     usable[:k_start] = False
     ks = np.flatnonzero(usable)
     if ks.size < FIT_MIN_POINTS:
@@ -203,22 +196,35 @@ def random_symmetric_stochastic(n: int, seed: int) -> WeightedAdjacency:
     backbone (irreducibility) and a strictly positive diagonal (which
     guarantees the scaling below terminates), then rescales symmetrically
     until every row sums to 1. Deterministic per seed.
+
+    The stream is that of a loop over the pairs i < j in row order: a
+    uniform u, then a weight on [0.05, 1) when u < 0.6, and after the
+    pairs n diagonal weights on [0.05, 0.6). It is drawn in one call. A
+    draw is a u unless the draw before it was a u below 0.6, so along a
+    run of draws below 0.6 the roles alternate, starting with a u.
     """
-    if n < 2:
-        raise BadParameter(f"need n >= 2, got {n}")
-    rng = _substream(seed, 0)
+    n = _check_int(n, "n", 2)
+    rng = _substream(_check_int(seed, "seed"), 0)
+    pairs = n * (n - 1) // 2
+    d = rng.random(2 * pairs + n)
+    below = d < 0.6
+    idx = np.arange(d.size)
+    # the latest run start at or before each draw: index 0 and every draw
+    # after one of 0.6 or more
+    start = np.maximum.accumulate(np.where(np.r_[True, ~below[:-1]], idx, 0))
+    u_at = np.flatnonzero((idx - start) % 2 == 0)[:pairs]
+    kept = below[u_at]
+    i, j = np.triu_indices(n, 1)
     M = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < 0.6:
-                v = rng.uniform(0.05, 1.0)
-                M[i, j] = v
-                M[j, i] = v
-    M[np.diag_indices(n)] = rng.uniform(0.05, 0.6, n)
-    for i in range(n):
-        j = (i + 1) % n
-        M[i, j] += 0.5
-        M[j, i] += 0.5
+    # numpy's uniform(low, high) is low + (high - low) * random()
+    M[i[kept], j[kept]] = 0.05 + (1.0 - 0.05) * d[u_at[kept] + 1]
+    M = M + M.T
+    diag = u_at[-1] + 1 + kept[-1]
+    M[np.diag_indices(n)] = 0.05 + (0.6 - 0.05) * d[diag : diag + n]
+    ring = np.arange(n)
+    # two statements, so n = 2 adds 0.5 twice to each entry, as the loop did
+    M[ring, (ring + 1) % n] += 0.5
+    M[(ring + 1) % n, ring] += 0.5
 
     residual = np.inf
     for _ in range(10_000):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolated, BadSpectrum, DominantNotSimple
-from .net import WeightedAdjacency, require_symmetric
+from .net import ROW_SUM_TOL, SYMMETRY_TOL, WeightedAdjacency, require_symmetric
 
 
 def certificate_bound(n: int) -> float:
@@ -32,14 +32,27 @@ def certificate_bound(n: int) -> float:
     inequality, how far each computed eigenvalue may sit from the exact
     one. c = 16 is twelve times the worst certificate measured on random
     networks and on pure, self-loop and relabelled rings with n <= 256
-    (1.33 n eps).
+    (1.33 n eps). Every test whether a computed value is 1, -1 or 0 reads
+    this bound; the two that decide a network's structure add the input
+    error as well (`_contract_bound`).
     """
-    return 16.0 * n * np.finfo(float).eps
+    return 16.0 * n * _EPS
 
 
-# an eigenvalue this close to 1 counts as 1: far above the solve error
-# (certificate_bound, up to n = 28,000), far below any gap that matters
-_UNIT_EIGENVALUE_TOL = 1e-10
+def _contract_bound(n: int) -> float:
+    """How far a computed eigenvalue may sit from an eigenvalue 1 of a
+    network `validate` and `require_symmetric` accept: the solve error
+    plus the row-sum error of the lower triangle that `eigh` reads.
+
+    Those rows sum to 1 - d_i, |d_i| <= ROW_SUM_TOL + (n - 1) SYMMETRY_TOL,
+    and to exactly 1 after adding diag(d), a symmetric change of 2-norm
+    max|d_i| that keeps the pattern; so a reducible network's repeated 1
+    moves by at most that much (Weyl).
+    """
+    return certificate_bound(n) + ROW_SUM_TOL + (n - 1) * SYMMETRY_TOL
+
+
+_EPS = float(np.finfo(float).eps)
 # a leading eigenvalue this far from 1 is not from a row-stochastic matrix
 # at all (a hand-built spectrum): an input guard, not a rounding bound
 _DOMINANT_ONE_TOL = 1e-8
@@ -132,30 +145,32 @@ def rho_ess(spec: Spectrum) -> float:
     `_require_simple_dominant` does.
     """
     _require_simple_dominant(spec)
-    w = spec.eigenvalues
-    if w.size == 1:
+    w = spec._floats
+    if len(w) == 1:
         return 0.0
     # sorted descending, so the largest modulus sits at one of the ends
-    rho = max(abs(float(w[1])), abs(float(w[-1])))
-    return 1.0 if rho >= 1.0 - certificate_bound(w.size) else rho
+    rho = max(abs(w[1]), abs(w[-1]))
+    return 1.0 if rho >= 1.0 - certificate_bound(len(w)) else rho
 
 
 def _require_simple_dominant(spec: Spectrum) -> None:
     """Raise unless the spectrum leads with a simple eigenvalue 1.
 
     AssumptionViolated when the leading eigenvalue is more than 1e-8 from
-    1, as no row-stochastic spectrum is; DominantNotSimple when a second
-    one sits at 1: a reducible network, whose components settle apart.
+    1, as no row-stochastic spectrum is; DominantNotSimple when the second
+    is within `_contract_bound(n)` of 1: a network that is reducible, or
+    within the input error the network checks allow of one, whose
+    components settle apart.
     """
-    # Python floats: a float32 spectrum would round the bound 1 - 1e-10 to 1
+    # Python floats: a float32 spectrum would round 1 minus the bound to 1
     w = spec._floats
     if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:
         raise AssumptionViolated(
             f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
             "row-stochastic network spectrum"
         )
-    if len(w) >= 2 and w[1] > 1.0 - _UNIT_EIGENVALUE_TOL:
+    if len(w) >= 2 and w[1] >= 1.0 - (bound := _contract_bound(len(w))):
         raise DominantNotSimple(
             f"network is reducible: second eigenvalue {w[1]!r} "
-            f"is within {_UNIT_EIGENVALUE_TOL:g} of 1"
+            f"is within {bound:g} of 1"
         )

@@ -13,7 +13,8 @@ block matrix of the stacked MLA state with its eigenpair residual, and
 the half-plane root test. And the file writers and ring generator with
 one Python step per entry: the formulations the numpy text routines and
 `np.roll` replaced, byte for byte. And the golden-section search for
-beta* that its closed form replaced.
+beta* that its closed form replaced. And the random network generator
+with one loop step per pair, which the bulk draw reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from consensuslab.analysis import (
-    CRITERION_BOUNDARY_TOL,
-    BetaStar,
-    ConvergenceVerdict,
-)
+from consensuslab.analysis import BetaStar, ConvergenceVerdict
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
 from consensuslab.net import validate
 from consensuslab.sim import TraceSummary, _substream
-from consensuslab.spectral import rho_ess
+from consensuslab.spectral import certificate_bound, rho_ess
 
 
 class MappedPair(NamedTuple):
@@ -98,7 +95,7 @@ def check_mla_convergence(spec, gamma: float) -> ConvergenceVerdict:
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
     in_range = 0.0 < gamma < 2.0
     return ConvergenceVerdict(
-        converges=in_range and criterion > CRITERION_BOUNDARY_TOL,
+        converges=in_range and criterion > certificate_bound(spec.eigenvalues.size),
         gamma_in_range=in_range,
         criterion_ii_value=criterion,
         limiting_eigenvalue_modulus=float(
@@ -286,3 +283,28 @@ def write_csv(summary, path) -> None:
         fh.write("k,env_min,env_max\n")
         for k in range(summary.env_max.size):
             fh.write(f"{k},{summary.env_min[k]:.17g},{summary.env_max[k]:.17g}\n")
+
+
+def random_symmetric_stochastic(n: int, seed: int):
+    """The random network generator drawing one pair per loop step: a
+    uniform u, then a weight when u < 0.6, then the diagonal and the ring
+    backbone one entry at a time."""
+    rng = _substream(seed, 0)
+    M = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.uniform() < 0.6:
+                v = rng.uniform(0.05, 1.0)
+                M[i, j] = v
+                M[j, i] = v
+    M[np.diag_indices(n)] = rng.uniform(0.05, 0.6, n)
+    for i in range(n):
+        j = (i + 1) % n
+        M[i, j] += 0.5
+        M[j, i] += 0.5
+    for _ in range(10_000):
+        r = M.sum(axis=1)
+        if np.max(np.abs(r - 1.0)) <= 1e-13:
+            return validate(M)
+        M = M / np.sqrt(np.outer(r, r))
+    raise AssertionError("row scaling did not settle")

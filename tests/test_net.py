@@ -151,8 +151,18 @@ class TestValidate:
             [[0.5 + 1j, 0.5], [0.5, 0.5]],
             {"a": 1},
             np.array([[0.5 + 0j, 0.5], [0.5, 0.5]]),
+            [np.array([0.5 + 0j, 0.5]), np.array([0.5, 0.5])],
+            [[np.complex128(0.5), 0.5], [0.5, 0.5]],
         ],
-        ids=["strings", "ragged", "complex-list", "dict", "complex-array"],
+        ids=[
+            "strings",
+            "ragged",
+            "complex-list",
+            "dict",
+            "complex-array",
+            "complex-row-in-list",
+            "complex-scalar-in-list",
+        ],
     )
     def test_not_a_real_matrix(self, weights):
         with warnings.catch_warnings():
@@ -166,6 +176,11 @@ class TestValidate:
         with pytest.raises(NonFiniteWeight) as ei:
             validate([[0.5, 0.5], [None, 0.5]])
         assert (ei.value.i, ei.value.j) == (1, 0)
+
+    def test_float_input_is_copied_not_frozen(self):
+        W = np.full((2, 2), 0.5)
+        A = validate(W)
+        assert W.flags.writeable and not np.shares_memory(A.weights, W)
 
     def test_weights_are_read_only(self, ring4):
         with pytest.raises(ValueError):

@@ -308,6 +308,25 @@ class TestFitRate:
         assert isinstance(info.value, NotSymmetric)
         assert str(info.value) == "matrix is asymmetric by 5.000e-01"
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e10])
+    def test_floor_scales_with_the_states(self, ring4_loops, scale):
+        # an absolute floor kept rounding noise of large states in the window
+        spec = eigendecompose_symmetric(ring4_loops)
+        gs = optimal_gamma(spec)
+        x0 = np.random.Generator(np.random.Philox(key=12345)).uniform(0.0, 1.0, 4)
+        model = ModelParams.mla(gs.gamma)
+        want = fit_rate(ring4_loops, model, x0, 180)
+        got = fit_rate(ring4_loops, model, scale * x0, 180)
+        assert got.window == want.window
+        assert abs(got.fitted_rate - gs.rate) / gs.rate <= 0.05
+
+    def test_offset_states_have_no_data(self, ring4_loops):
+        # a spread of 1 around 1e6 sinks below its rounding floor at once
+        gs = optimal_gamma(eigendecompose_symmetric(ring4_loops))
+        x0 = np.random.Generator(np.random.Philox(key=12345)).uniform(0.0, 1.0, 4)
+        with pytest.raises(InsufficientData):
+            fit_rate(ring4_loops, ModelParams.mla(gs.gamma), 1e6 + x0, 180)
+
     def test_window_respects_skip_and_floor(self, ring4_loops):
         x0 = np.random.Generator(np.random.Philox(key=4)).uniform(0.0, 1.0, 4)
         fit = fit_rate(ring4_loops, ModelParams.degroot(), x0, 100)
@@ -390,6 +409,13 @@ class TestRandomNetworkGenerator:
         for seed in range(100):
             spec = eigendecompose_symmetric(random_symmetric_stochastic(4, seed))
             assert abs(spec.eigenvalues[0] - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 33, 64])
+    def test_bulk_draw_matches_the_loop(self, n):
+        for seed in (0, 1, 2, 7, -1, 2**40):
+            got = random_symmetric_stochastic(n, seed).weights
+            want = ref.random_symmetric_stochastic(n, seed).weights
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_tiny_n(self):
         with pytest.raises(BadParameter):
