@@ -11,17 +11,17 @@ essential spectral radius of the stacked system, the rate-optimal
 parameters, and the consensus value. Only the dominant eigenvalue needs
 its signed roots (`_root_pair`), as the root nearer 1 is dropped; the
 rest need the larger root modulus alone, in Python floats from
-`_larger_modulus` or over an array from `_max_root_modulus`.
+`_larger_modulus` for verdicts and rates, or over an array from
+`_max_root_modulus` for the contour grid.
 
 Verdicts and rates read the largest modulus off the ends of the sorted
 spectrum. The larger root modulus never decreases with |lam| on either
-sign side, so a walk inward from lambda_2 and from lambda_n, one
-`_larger_modulus` per eigenvalue, stops on a side once its modulus falls
-below the running maximum by more than the kernels' rounding error.
-Spectra where the ends do not settle it within a few steps, such as the
-accelerated model's flat modulus sqrt(beta - 1) over its conjugate
-region, fall back to `_max_root_modulus` on the unread middle. Either way
-the result is the whole-spectrum maximum, bit for bit. Both optima are
+sign side, so a walk inward from lambda_2 and then from lambda_n, one
+`_larger_modulus` per eigenvalue and none twice, stops on a side once its
+modulus falls below the running maximum by more than the kernels'
+rounding error; on the accelerated model's flat modulus sqrt(beta - 1)
+over its conjugate region it reads the whole spectrum. Either way the
+result is the whole-spectrum maximum, bit for bit. Both optima are
 closed forms in the essential radius; only gamma*'s needs hypotheses.
 Values within the solve error `certificate_bound(n)` count as equal; the
 cancellation guard adds the input error the network checks allow.
@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelParams, _check_vector
+from .dynamics import ModelKind, ModelParams, _check_model, _check_vector
 from .errors import (
     AssumptionViolated,
     BadParameter,
@@ -158,14 +158,13 @@ def _larger_modulus(b: float, c: float) -> float:
 # cancellation floor, sqrt(32 eps) = 8.4e-8. So once the modulus v read at
 # one end satisfies v * _WALK_SCALE + _WALK_FLOOR < best, no unread
 # eigenvalue of that end's sign can round above best (the lambda_2 end
-# covers those >= 0, the lambda_n end those < 0). The margin 1e-6 is over
-# ten times the relative error; the absolute floor covers underflow, where
-# sqrt turns a subnormal-level error into about 2e-162.
+# covers those >= 0, the lambda_n end those < 0; a side that walks across
+# zero has read every eigenvalue of its own sign, and the other side
+# covers the rest). The margin 1e-6 is over ten times the relative error;
+# the absolute floor covers underflow, where sqrt turns a subnormal-level
+# error into about 2e-162.
 _WALK_SCALE = 1.0 + 1e-6
 _WALK_FLOOR = 1e-150
-# rounds of the walk, two reads each, before the unread middle of the
-# spectrum goes to the array kernel (a ring needs at most three)
-_WALK_ROUNDS = 4
 
 
 def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
@@ -224,44 +223,35 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     The dominant eigenvalue maps to {1, other}; which branch carries the 1
     depends on the parameter sign region, so the signed root closer to 1
     is dropped. The rest of the spectrum needs moduli alone, and they are
-    read off its ends: a walk inward from lambda_2 and from lambda_n reads
-    one eigenvalue per open side and round, and a side closes once its
-    modulus falls clearly below the running maximum (see _WALK_SCALE).
-    The unread middle goes to `_max_root_modulus` when both sides are
-    still open after a round (the ends tie, as on the accelerated model's
-    flat conjugate region) or after _WALK_ROUNDS rounds. Either way the
-    result is the maximum over the whole spectrum, bit for bit. A numpy
-    scalar parameter sets the precision of the root sums and products, in
-    the walk (against Python floats) and on the middle alike.
+    read off its ends, one `_larger_modulus` per eigenvalue and none
+    twice: lambda_2 and lambda_n first, then a walk inward from the
+    lambda_2 side while its last modulus may still round up to the
+    running maximum (see _WALK_SCALE), then the same walk from the
+    lambda_n side, never past where the first stopped. The result is the
+    maximum over the whole spectrum, bit for bit. A numpy scalar
+    parameter sets the precision of the root sums and products.
     """
     _require_simple_dominant(spec)
     w = spec._floats
     _check_roots(coefficients, max(abs(w[0]), abs(w[-1])), param, name)
     plus, minus = _root_pair(*coefficients(w[0], param))
     best = abs(minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus)
-    lo, hi = 1, len(w) - 1
-    # the modulus last read at each end; none read yet, so both may beat best
-    at_lo = at_hi = math.inf
-    rounds = 0
-    while lo <= hi:
-        open_lo = at_lo * _WALK_SCALE + _WALK_FLOOR >= best
-        open_hi = at_hi * _WALK_SCALE + _WALK_FLOOR >= best
-        if not (open_lo or open_hi):
-            return best
-        if rounds == _WALK_ROUNDS or (rounds and open_lo and open_hi):
-            mid = spec.eigenvalues[lo : hi + 1].astype(np.result_type(param, 1.0))
-            b, c = coefficients(mid, param)
-            moduli = _max_root_modulus(np.asarray(b, float), np.asarray(c, float))
-            return float(moduli.max(initial=best))
-        if open_lo:
-            at_lo = _larger_modulus(*coefficients(w[lo], param))
-            best = max(best, at_lo)
-            lo += 1
-        if lo <= hi and at_hi * _WALK_SCALE + _WALK_FLOOR >= best:
-            at_hi = _larger_modulus(*coefficients(w[hi], param))
-            best = max(best, at_hi)
-            hi -= 1
-        rounds += 1
+    # lambda_2 and lambda_n once each: one read at n = 2, none at n = 1
+    at_lo = at_hi = best
+    if len(w) > 1:
+        at_lo = at_hi = _larger_modulus(*coefficients(w[1], param))
+    if len(w) > 2:
+        at_hi = _larger_modulus(*coefficients(w[-1], param))
+    best = max(best, at_lo, at_hi)
+    lo, hi = 2, len(w) - 2
+    while lo <= hi and at_lo * _WALK_SCALE + _WALK_FLOOR >= best:
+        at_lo = _larger_modulus(*coefficients(w[lo], param))
+        best = max(best, at_lo)
+        lo += 1
+    while lo <= hi and at_hi * _WALK_SCALE + _WALK_FLOOR >= best:
+        at_hi = _larger_modulus(*coefficients(w[hi], param))
+        best = max(best, at_hi)
+        hi -= 1
     return best
 
 
@@ -318,6 +308,7 @@ def model_rate(spec: Spectrum, model: ModelParams) -> float:
     1, as lam = -1 maps to the root -1 for every beta) and
     DominantNotSimple on a reducible network, the identity included.
     """
+    _check_model(model)
     if model.kind is ModelKind.MLA:
         return rho_ess_mla(spec, model.param)
     rate = rho_ess(spec)
@@ -341,9 +332,9 @@ def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     eigenvalue, and x0 a finite vector of n states.
     """
     require_symmetric(A)
+    _require_simple_dominant(spec)
     if len(spec._floats) != A.n:
         raise DimensionMismatch(f"spectrum of {len(spec._floats)} for n = {A.n}")
-    _require_simple_dominant(spec)
     return float(_check_vector(A, x0, "x0").mean())
 
 
@@ -358,15 +349,15 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     hypotheses the returned rate is recomputed by `rho_ess_mla` and
     hypotheses_met is False. Both hold within `certificate_bound(n)`.
     """
-    w = spec.eigenvalues
-    lam_n = float(w[-1])
     rho = rho_ess(spec)
+    w = spec._floats
+    lam_n = w[-1]
     if lam_n >= 0.0:
         raise BadSpectrum(f"smallest eigenvalue must be negative, got {lam_n!r}")
     if not 0.0 < rho < 1.0:
         raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
-    lam_2 = float(w[1])
-    tol = certificate_bound(w.size)
+    lam_2 = w[1]
+    tol = certificate_bound(len(w))
     gamma_star = 2.0 / rho * (math.sqrt(1.0 + rho) - 1.0)
     hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + tol) and (abs(lam_n + rho) <= tol)
     if hypotheses_met:
@@ -403,18 +394,17 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
     within twice `_contract_bound(n)`, as each of the two may sit that far
     from an eigenvalue of a network the checks accept.
     """
-    w = spec.eigenvalues
-    tol = certificate_bound(w.size)
     rho = rho_ess(spec)
+    w = spec._floats
+    tol = certificate_bound(len(w))
     if rho <= tol:
         return None
     if rho == 1.0:
         raise AssumptionViolated(
             "improvement search needs a primitive network (essential radius < 1)"
         )
-    lam_2 = float(w[1])
-    lam_n = float(w[-1])
-    if abs(lam_2 + lam_n) <= (cancel := 2.0 * _contract_bound(w.size)):
+    lam_2, lam_n = w[1], w[-1]
+    if abs(lam_2 + lam_n) <= (cancel := 2.0 * _contract_bound(len(w))):
         raise DegenerateSpectrum(
             f"lambda_2 + lambda_n = {lam_2 + lam_n!r} is within {cancel:g}"
         )

@@ -34,6 +34,7 @@ class ModelKind(Enum):
 class ModelParams:
     """A model choice plus its scalar parameter.
 
+    The kind must be a ModelKind, not its string value (BadParameter).
     The parameter is beta for the accelerated model and gamma for MLA;
     DeGroot ignores it. It must be a finite real number (BadParameter),
     kept as given, so a numpy scalar sets the precision of the roots. No
@@ -45,6 +46,8 @@ class ModelParams:
     param: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, ModelKind):
+            raise BadParameter(f"model kind must be a ModelKind, got {self.kind!r}")
         if not (isinstance(self.param, numbers.Real) and math.isfinite(self.param)):
             raise BadParameter(
                 f"model parameter must be a finite real number, got {self.param!r}"
@@ -61,6 +64,12 @@ class ModelParams:
     @classmethod
     def mla(cls, gamma: float) -> "ModelParams":
         return cls(ModelKind.MLA, gamma)
+
+
+def _check_model(model) -> None:
+    """BadParameter unless model is a ModelParams."""
+    if not isinstance(model, ModelParams):
+        raise BadParameter(f"model must be a ModelParams, got {model!r}")
 
 
 def _check_vector(A: WeightedAdjacency, x, name: str) -> np.ndarray:

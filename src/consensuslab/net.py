@@ -64,6 +64,14 @@ def _check_int(value, name: str, least: int | None = None) -> int:
     return value
 
 
+def _check_network(A) -> None:
+    """BadParameter unless A is a WeightedAdjacency, as `validate` returns."""
+    if not isinstance(A, WeightedAdjacency):
+        raise BadParameter(
+            f"network must be a WeightedAdjacency, got {type(A).__name__}"
+        )
+
+
 def _real_array(x, what: str) -> np.ndarray:
     """A new float array of x; BadParameter("<what> of real numbers: ...")
     unless x is an array of real numbers.
@@ -123,8 +131,9 @@ def require_symmetric(A: WeightedAdjacency) -> None:
 
     Symmetric means every entry matches its transpose within SYMMETRY_TOL;
     the eigensolver and the results that take the initial mean as the
-    consensus value rely on it.
+    consensus value rely on it. BadParameter when A is not a network.
     """
+    _check_network(A)
     asym = _asymmetry(A.weights)
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"matrix is asymmetric by {asym:.3e}")
@@ -186,6 +195,7 @@ def analyze_structure(A: WeightedAdjacency) -> StructureReport:
       by repeated squaring of the 0/1 pattern and a binary search back
       down, O(n^3 log n) against the sharp bound (n-1)^2 + 1.
     """
+    _check_network(A)
     W = A.weights
     symmetric = _asymmetry(W) <= SYMMETRY_TOL
 
@@ -233,6 +243,7 @@ def write_matrix(A: WeightedAdjacency, path) -> None:
     Values are printed with 17 significant digits so a read-back is
     value-exact.
     """
+    _check_network(A)
     with open(path, "w") as fh:
         fh.write(f"{A.n}\n")
         np.savetxt(fh, A.weights, "%.17g")

@@ -20,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, _check_vector, _states
+from .dynamics import ModelParams, _check_model, _check_vector, _states
 from .errors import InsufficientData, NormalizationFailed, NotConvergent
-from .net import WeightedAdjacency, _check_int, require_symmetric, validate
+from .net import (
+    WeightedAdjacency,
+    _check_int,
+    _check_network,
+    require_symmetric,
+    validate,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,6 +58,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        _check_model(self.model)
         _check_int(self.steps, "steps", 1)
         _check_int(self.runs, "runs", 1)
         # kept as a Python int: an np.int64 seed overflows the key's mask
@@ -100,6 +107,7 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
     step whose envelope is not finite (see TraceSummary), without raising
     floating-point warnings.
     """
+    _check_network(A)
     X0 = np.array([_initial_state(cfg.seed, i, A.n) for i in range(cfg.runs)])
     env_max, env_min = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,6 +138,8 @@ def simulate_trajectory(
     at the first state that is not finite, without floating-point
     warnings (where `run_batch` truncates instead).
     """
+    _check_network(A)
+    _check_model(model)
     x0 = _check_vector(A, x0, "x0")
     _check_int(steps, "steps", 0)
     out = np.empty((steps + 1, A.n))

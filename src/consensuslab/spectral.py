@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolated, BadSpectrum, DominantNotSimple
+from .errors import AssumptionViolated, BadParameter, BadSpectrum, DominantNotSimple
 from .net import ROW_SUM_TOL, SYMMETRY_TOL, WeightedAdjacency, require_symmetric
 
 
@@ -160,8 +160,10 @@ def _require_simple_dominant(spec: Spectrum) -> None:
     1, as no row-stochastic spectrum is; DominantNotSimple when the second
     is within `_contract_bound(n)` of 1: a network that is reducible, or
     within the input error the network checks allow of one, whose
-    components settle apart.
+    components settle apart. BadParameter when spec is not a Spectrum.
     """
+    if not isinstance(spec, Spectrum):
+        raise BadParameter(f"spectrum must be a Spectrum, got {type(spec).__name__}")
     # Python floats: a float32 spectrum would round 1 minus the bound to 1
     w = spec._floats
     if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:

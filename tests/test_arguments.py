@@ -1,6 +1,9 @@
 """Arguments of the wrong type raise BadParameter, not a raw numpy or
 Python error: integers are checked with operator.index (seeds may be
-negative), parameters with numbers.Real."""
+negative), parameters with numbers.Real, and models, spectra and
+networks with isinstance."""
+
+import os
 
 import numpy as np
 import pytest
@@ -10,13 +13,22 @@ from consensuslab import (
     ModelKind,
     ModelParams,
     SimConfig,
+    analyze_structure,
     check_mla_convergence,
+    consensus_value,
     eigendecompose_symmetric,
+    fit_rate,
+    improving_gamma_exists,
     make_ring,
+    model_rate,
+    optimal_beta,
+    optimal_gamma,
     random_symmetric_stochastic,
+    rho_ess,
     rho_ess_accelerated,
     run_batch,
     simulate_trajectory,
+    write_matrix,
 )
 
 
@@ -75,3 +87,44 @@ def test_states_must_be_real_numbers(x0):
     with pytest.raises(BadParameter, match="real numbers"):
         simulate_trajectory(make_ring(4, 0.1), ModelParams.mla(0.5), x0, 3)
 
+
+@pytest.mark.parametrize("args", [("mla", 0.5), ("accelerated", 1.2), ("degroot",)])
+def test_model_kind_must_be_a_model_kind(args):
+    # the string value is rejected, not converted
+    with pytest.raises(BadParameter, match="ModelKind"):
+        ModelParams(*args)
+
+
+A4 = make_ring(4, 0.1)
+SPEC4 = eigendecompose_symmetric(A4)
+X4 = np.arange(4.0)
+MLA = ModelParams.mla(0.5)
+W = np.array([1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "f, args",
+    [
+        (SimConfig, ("mla", 3, 2, 0)),
+        (simulate_trajectory, (A4, "mla", X4, 3)),
+        (model_rate, (SPEC4, "mla")),
+        (rho_ess, (W,)),
+        (optimal_gamma, (W,)),
+        (optimal_beta, (W,)),
+        (improving_gamma_exists, (list(W),)),
+        (check_mla_convergence, (W, 0.5)),
+        (model_rate, (W, MLA)),
+        (consensus_value, (A4, W, X4)),
+        (run_batch, (np.eye(4), SimConfig(MLA, 3, 2, 0))),
+        (simulate_trajectory, (np.eye(4), MLA, X4, 3)),
+        (fit_rate, (np.eye(4), MLA, X4, 30)),
+        (consensus_value, (np.eye(4), SPEC4, X4)),
+        (eigendecompose_symmetric, (np.eye(4),)),
+        (analyze_structure, (np.eye(4),)),
+        (write_matrix, (np.eye(4), os.devnull)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_objects_of_the_wrong_kind_raise_bad_parameter(f, args):
+    with pytest.raises(BadParameter, match="must be a"):
+        f(*args)

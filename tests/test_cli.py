@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import consensuslab
 from conftest import relabelled_rings
 from consensuslab import (
     eigendecompose_symmetric,
@@ -371,3 +376,30 @@ class TestPeriodicRingVerdicts:
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["analyze", "--ring", "8", "--porcelain"], 0, ""),
+        (["analyze"], 2, "one of the arguments --input --ring is required"),
+        (["analyze", "--input", "absent.txt"], 2, "error: cannot read absent.txt"),
+    ],
+    ids=["ring", "no-input", "missing-path"],
+)
+def test_console_entry_point_runs_as_a_process(argv, code, err, tmp_path, capsys):
+    # python -m consensuslab in dev mode, with every warning an error; its
+    # stdout matches the in-process run byte for byte
+    src = os.path.dirname(os.path.dirname(consensuslab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "consensuslab", *argv],
+        cwd=tmp_path, env=env, capture_output=True,
+    )
+    assert done.returncode == code, done.stderr
+    assert err.encode() in done.stderr
+    if code == 0:
+        assert done.stderr == b""
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out.encode()

@@ -1,5 +1,7 @@
 """The root-mapping kernels against the scalar reference, bit for bit."""
 
+import collections
+import contextlib
 import math
 import tracemalloc
 
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from consensuslab import (
+    ModelParams,
     NotConvergent,
     analysis,
     check_mla_convergence,
     eigendecompose_symmetric,
     lambda_hat_max,
     make_ring,
+    model_rate,
     optimal_beta,
     rho_ess,
     rho_ess_accelerated,
@@ -181,14 +185,14 @@ def test_optimal_beta_matches_reference(corpus100, corpus_large):
         assert abs(want.beta - got.beta) <= 1e-10
 
 
-def test_optimal_beta_maps_no_eigenvalue(monkeypatch, array_kernel_calls):
+def test_optimal_beta_maps_no_eigenvalue(monkeypatch, reads):
     radius_calls = []
     monkeypatch.setattr(
         analysis, "rho_ess_accelerated", lambda *a: radius_calls.append(a)
     )
     for n in (16, 17, 64, 1024):
         optimal_beta(eigendecompose_symmetric(make_ring(n, 0.1)))
-    assert radius_calls == [] and array_kernel_calls == []
+    assert radius_calls == [] and reads == {}
 
 
 # numpy scalars set the precision of the root sum and product, which the
@@ -292,53 +296,63 @@ def test_radii_match_scalar_reference_on_hard_spectra(case):
 
 
 @pytest.fixture
-def array_kernel_calls(monkeypatch):
-    """Count the whole-spectrum kernel calls the radii make."""
-    calls = []
+def reads(monkeypatch):
+    """Count the root-modulus reads the radii make: "walk" for each
+    eigenvalue read through `_larger_modulus`, "array" for each call of
+    `_max_root_modulus`, which only the contour grid needs."""
+    counts = collections.Counter()
 
-    def counted(b, c):
-        calls.append(np.size(b))
+    def walk(b, c):
+        counts["walk"] += 1
+        return _larger_modulus(b, c)
+
+    def array(b, c):
+        counts["array"] += 1
         return _max_root_modulus(b, c)
 
-    monkeypatch.setattr(analysis, "_max_root_modulus", counted)
-    return calls
+    monkeypatch.setattr(analysis, "_larger_modulus", walk)
+    monkeypatch.setattr(analysis, "_max_root_modulus", array)
+    return counts
 
 
 @pytest.mark.parametrize("n", [1024, 1025])
-def test_ring_verdicts_read_only_the_ends(n, array_kernel_calls):
+def test_ring_verdicts_read_only_the_ends(n, reads):
     # primitive (odd) and periodic (even) rings of about a thousand agents
     spec = eigendecompose_symmetric(make_ring(n, 0.0))
     for g in (0.3, 0.7, 1.3):
+        reads.clear()
         got = check_mla_convergence(spec, g)
+        assert reads["array"] == 0 and reads["walk"] <= 4
         want = ref.check_mla_convergence(spec, g)
         assert bits(got.limiting_eigenvalue_modulus) == bits(
             want.limiting_eigenvalue_modulus
         )
         if got.converges:
             assert bits(rho_ess_mla(spec, g)) == bits(want.limiting_eigenvalue_modulus)
-    assert array_kernel_calls == []
 
 
-def test_flat_accelerated_radius_falls_back(array_kernel_calls):
+def test_flat_accelerated_radius_reads_each_eigenvalue_once(reads):
     # above beta* every eigenvalue maps to a conjugate pair of modulus
-    # sqrt(beta - 1), so the ends cannot tell the maximum
+    # sqrt(beta - 1), so the ends cannot tell the maximum and the walk
+    # reads the whole spectrum but the dominant eigenvalue, once each
     for n in (16, 17, 64):
         spec = eigendecompose_symmetric(make_ring(n, 0.1))
         beta_star = optimal_beta(spec).beta
-        array_kernel_calls.clear()
         for beta in np.linspace(beta_star + 1e-3, 1.999, 40):
             want = ref.non_dominant_moduli(spec, beta, ref.map_eigenvalue_accelerated)
+            reads.clear()
             assert bits(rho_ess_accelerated(spec, float(beta))) == bits(want.max())
-        assert len(array_kernel_calls) == 40
+            assert reads == {"walk": n - 1}
 
 
-def test_walk_stop_rule_keeps_the_rounding_slack(array_kernel_calls):
+def test_walk_stop_rule_keeps_the_rounding_slack(reads):
     # a side stays open while its modulus may round up to best: within
     # 1e-6 relative (the kernels' error is below 1e-7) or 1e-150 absolute
     # (sqrt of a subnormal-level error is about 2e-162). At gamma = 1 each
-    # eigenvalue maps to {lam, 0}, so the moduli are |lam| exactly; the
-    # lambda_n side holds best, and a lambda_2 side left open beside it
-    # sends the unread middle to the kernel
+    # eigenvalue maps to {lam, 0}, so the moduli are |lam| exactly. The
+    # lambda_n side holds best and reads one zero of the middle before it
+    # closes; a lambda_2 side left open beside it reads the other zero,
+    # and a closed one reads nothing past lambda_2
     for lam_2, lam_n, stays_open in [
         (0.5 / (1.0 + 9e-7), -0.5, True),
         (0.5 / (1.0 + 2e-6), -0.5, False),
@@ -348,7 +362,38 @@ def test_walk_stop_rule_keeps_the_rounding_slack(array_kernel_calls):
     ]:
         w = np.array([1.0, lam_2, 0.0, 0.0, lam_n])
         spec = Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
-        array_kernel_calls.clear()
+        reads.clear()
         verdict = check_mla_convergence(spec, 1.0)
         assert verdict.limiting_eigenvalue_modulus == abs(lam_n)
-        assert len(array_kernel_calls) == stays_open, (lam_2, lam_n)
+        assert reads == {"walk": 3 + stays_open}, (lam_2, lam_n)
+    # the side holding best reads on: one ulp inward of lambda_n the
+    # computed modulus rounds above lambda_n's
+    g, lam_n = 0.8876253084112719, -0.7658974138909644
+    w = np.array([1.0, 0.1, math.nextafter(lam_n, 0.0), lam_n])
+    spec = Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
+    want = ref.non_dominant_moduli(spec, g, ref.map_eigenvalue).max()
+    assert want > _larger_modulus(*_mla_coefficients(lam_n, g))
+    verdict = check_mla_convergence(spec, g)
+    assert bits(verdict.limiting_eigenvalue_modulus) == bits(want)
+
+
+def test_verdicts_read_each_eigenvalue_at_most_once(corpus100, reads):
+    # n = 1 and n = 2 spectra built by hand: no read, and lambda_2 once
+    spectra = [spec for _, spec in corpus100] + [
+        Spectrum(eigenvalues=np.array(w), eigenvectors=np.eye(len(w)))
+        for w in ([1.0], [1.0, -0.5], [1.0, 0.5])
+    ]
+    for spec in spectra:
+        n = spec.eigenvalues.size
+        for p in map(float, PARAMS):
+            for verdict in (
+                lambda: check_mla_convergence(spec, p),
+                lambda: rho_ess_accelerated(spec, p),
+                lambda: model_rate(spec, ModelParams.mla(p)),
+                lambda: model_rate(spec, ModelParams.accelerated(p)),
+                lambda: model_rate(spec, ModelParams.degroot()),
+            ):
+                reads.clear()
+                with contextlib.suppress(NotConvergent):
+                    verdict()
+                assert reads["array"] == 0 and reads["walk"] <= n - 1
