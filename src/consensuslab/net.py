@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,18 @@ def _check_network(A) -> None:
     if not isinstance(A, WeightedAdjacency):
         raise BadParameter(
             f"network must be a WeightedAdjacency, got {type(A).__name__}"
+        )
+
+
+def _check_path(path) -> None:
+    """BadParameter unless path names a file: a str, bytes or os.PathLike.
+
+    open() would also take an int (a bool too) as a file descriptor, and
+    close it: the caller's descriptor, or the process's stdout for 1.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise BadParameter(
+            f"path must be a str, bytes or os.PathLike, got {type(path).__name__}"
         )
 
 
@@ -140,16 +153,36 @@ def require_symmetric(A: WeightedAdjacency) -> None:
 
 
 def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
-    """BFS level of every node reached from node 0 along pattern edges, -1 if none."""
-    level = np.full(pattern.shape[0], -1)
-    level[0] = 0
-    frontier = level == 0
+    """BFS level of every node reached from node 0 along pattern edges, -1 if none.
+
+    A bitset search: row u of the pattern is packed once into a Python
+    int whose bit v is the edge (u, v), and each reached node is
+    expanded exactly once, by or-ing its row into the next frontier's
+    reach. That is O(n) Python integer steps and O(n^2 / 64) machine
+    words, however many levels the search has.
+    """
+    n = pattern.shape[0]
+    packed = np.packbits(pattern, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    rows = [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, n * width, width)
+    ]
+    level = [-1] * n
+    seen = frontier = 1
     d = 0
-    while frontier.any():
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            level[v] = d
+            reach |= rows[v]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
         d += 1
-        frontier = pattern[frontier].any(axis=0) & (level < 0)
-        level[frontier] = d
-    return level
+    return np.array(level)
 
 
 def _exponent(pattern: np.ndarray) -> int:
@@ -157,13 +190,17 @@ def _exponent(pattern: np.ndarray) -> int:
 
     Squares the 0/1 pattern until a power is all-positive, then lowers the
     exponent bit by bit with the stored squares. The search is monotone:
-    for an irreducible pattern, P^k > 0 implies P^(k+1) > 0. Products of
-    0/1 float matrices hold integers <= n, so they are exact under any
-    BLAS summation order.
+    for an irreducible pattern, P^k > 0 implies P^(k+1) > 0. Each product
+    is clipped back to 0/1 in place, so the next one sums at most n
+    products of 0 and 1: its entries and every partial sum are integers
+    <= n, which float32 holds exactly up to 2^24 (far beyond any pattern
+    that fits in memory). So each all-positive test is exact under any
+    BLAS summation order or thread count.
     """
-    squares = [pattern.astype(np.float64)]
+    squares = [pattern.astype(np.float32)]
     while not squares[-1].all():
-        squares.append((squares[-1] @ squares[-1] > 0.0).astype(np.float64))
+        s = squares[-1] @ squares[-1]
+        squares.append(np.minimum(s, 1.0, out=s))
     if len(squares) == 1:
         return 1
     # squares[-2] is not all-positive and squares[-1] is: grow the exponent
@@ -171,7 +208,8 @@ def _exponent(pattern: np.ndarray) -> int:
     k = 1 << (len(squares) - 2)
     power = squares[-2]
     for j in range(len(squares) - 3, -1, -1):
-        candidate = (power @ squares[j] > 0.0).astype(np.float64)
+        candidate = power @ squares[j]
+        np.minimum(candidate, 1.0, out=candidate)
         if not candidate.all():
             power = candidate
             k += 1 << j
@@ -186,14 +224,14 @@ def analyze_structure(A: WeightedAdjacency) -> StructureReport:
 
     - irreducible: breadth-first search from node 0 reaches every node
       along the pattern and, if it is not symmetric, along its transpose;
-      each frontier step is one vectorised row-any, diameter + 1 at most.
+      a bitset search that expands each reached node once.
     - primitive: irreducible with period 1, where the period is the gcd
       of level[u] + 1 - level[v] over the edges (u, v) and level is the
       BFS depth from node 0 (Denardo, "Periods of connected networks and
       powers of nonnegative matrices", Math. Oper. Res. 2(1), 1977).
     - witness_k (primitive only): the smallest all-positive power, found
-      by repeated squaring of the 0/1 pattern and a binary search back
-      down, O(n^3 log n) against the sharp bound (n-1)^2 + 1.
+      by repeated squaring of the 0/1 pattern in float32 and a binary
+      search back down, O(n^3 log n) against the sharp bound (n-1)^2 + 1.
     """
     _check_network(A)
     W = A.weights
@@ -244,6 +282,7 @@ def write_matrix(A: WeightedAdjacency, path) -> None:
     value-exact.
     """
     _check_network(A)
+    _check_path(path)
     with open(path, "w") as fh:
         fh.write(f"{A.n}\n")
         np.savetxt(fh, A.weights, "%.17g")
@@ -252,9 +291,11 @@ def write_matrix(A: WeightedAdjacency, path) -> None:
 def read_matrix(path) -> WeightedAdjacency:
     """Read the plain-text matrix format and validate the result.
 
-    Raises OSError on an unreadable path, ParseError (with the 1-based
-    file line) on malformed or non-UTF-8 input, then the validate() errors.
+    Raises BadParameter unless path is a str, bytes or os.PathLike,
+    OSError on an unreadable path, ParseError (with the 1-based file
+    line) on malformed or non-UTF-8 input, then the validate() errors.
     """
+    _check_path(path)
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelParams, _check_model, _check_vector, _states
-from .errors import InsufficientData, NormalizationFailed, NotConvergent
+from .errors import BadParameter, InsufficientData, NormalizationFailed, NotConvergent
 from .net import (
     WeightedAdjacency,
     _check_int,
     _check_network,
+    _check_path,
     require_symmetric,
     validate,
 )
@@ -83,6 +84,7 @@ class TraceSummary:
 
     def write_csv(self, path) -> None:
         """Write `k,env_min,env_max` rows, one per step including k = 0."""
+        _check_path(path)
         columns = (np.arange(self.env_max.size), self.env_min, self.env_max)
         with open(path, "w") as fh:
             fh.write("k,env_min,env_max\n")
@@ -108,6 +110,8 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
     floating-point warnings.
     """
     _check_network(A)
+    if not isinstance(cfg, SimConfig):
+        raise BadParameter(f"cfg must be a SimConfig, got {type(cfg).__name__}")
     X0 = np.array([_initial_state(cfg.seed, i, A.n) for i in range(cfg.runs)])
     env_max, env_min = [], []
     with np.errstate(over="ignore", invalid="ignore"):

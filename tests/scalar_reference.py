@@ -15,11 +15,14 @@ one Python step per entry: the formulations the numpy text routines and
 `np.roll` replaced, byte for byte. And the golden-section search for
 beta* that its closed form replaced. And the random network generator
 with one loop step per pair, which the bulk draw reproduces bit for bit.
+And the breadth-first search with a queue and one edge test per pair,
+whose levels the bitset search in `consensuslab.net` reproduces.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 from typing import NamedTuple
 
@@ -308,3 +311,19 @@ def random_symmetric_stochastic(n: int, seed: int):
             return validate(M)
         M = M / np.sqrt(np.outer(r, r))
     raise AssertionError("row scaling did not settle")
+
+
+def bfs_levels(pattern) -> np.ndarray:
+    """BFS level of every node reached from node 0 along pattern edges, -1
+    if none: a queue of reached nodes, each testing every column of its row."""
+    n = pattern.shape[0]
+    level = [-1] * n
+    level[0] = 0
+    queue = collections.deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in range(n):
+            if pattern[u, v] and level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return np.array(level)

@@ -3,6 +3,7 @@ Python error: integers are checked with operator.index (seeds may be
 negative), parameters with numbers.Real, and models, spectra and
 networks with isinstance."""
 
+import functools
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from consensuslab import (
     optimal_beta,
     optimal_gamma,
     random_symmetric_stochastic,
+    read_matrix,
     rho_ess,
     rho_ess_accelerated,
     run_batch,
@@ -122,9 +124,37 @@ W = np.array([1.0, 0.5])
         (eigendecompose_symmetric, (np.eye(4),)),
         (analyze_structure, (np.eye(4),)),
         (write_matrix, (np.eye(4), os.devnull)),
+        (run_batch, (A4, MLA)),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_objects_of_the_wrong_kind_raise_bad_parameter(f, args):
     with pytest.raises(BadParameter, match="must be a"):
         f(*args)
+
+
+FILE_APIS = [
+    read_matrix,
+    functools.partial(write_matrix, A4),
+    run_batch(A4, SimConfig(MLA, 3, 2, 0)).write_csv,
+]
+FILE_API_IDS = ["read_matrix", "write_matrix", "write_csv"]
+
+
+@pytest.mark.parametrize("path", [None, 3.5, False, ["m.txt"]], ids=repr)
+@pytest.mark.parametrize("f", FILE_APIS, ids=FILE_API_IDS)
+def test_file_apis_take_paths_only(f, path):
+    with pytest.raises(BadParameter, match="path must be a str, bytes or os.PathLike"):
+        f(path)
+
+
+@pytest.mark.parametrize("f", FILE_APIS, ids=FILE_API_IDS)
+def test_file_apis_leave_a_descriptor_open(f, tmp_path):
+    # open() would take the int as a descriptor and close it on return
+    fd = os.open(tmp_path / "m.txt", os.O_RDWR | os.O_CREAT)
+    try:
+        with pytest.raises(BadParameter, match="got int"):
+            f(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)

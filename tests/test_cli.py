@@ -384,12 +384,19 @@ def test_parser_is_built_once():
         (["analyze", "--ring", "8", "--porcelain"], 0, ""),
         (["analyze"], 2, "one of the arguments --input --ring is required"),
         (["analyze", "--input", "absent.txt"], 2, "error: cannot read absent.txt"),
+        (["validate", "--input", "ring64.txt", "--porcelain"], 0, ""),
+        (["validate", "--input", "ring65.txt", "--porcelain"], 0, ""),
     ],
-    ids=["ring", "no-input", "missing-path"],
+    ids=["ring", "no-input", "missing-path", "validate-64", "validate-65"],
 )
-def test_console_entry_point_runs_as_a_process(argv, code, err, tmp_path, capsys):
+def test_console_entry_point_runs_as_a_process(
+    argv, code, err, tmp_path, capsys, monkeypatch
+):
     # python -m consensuslab in dev mode, with every warning an error; its
     # stdout matches the in-process run byte for byte
+    monkeypatch.chdir(tmp_path)
+    for n in (64, 65):
+        write_matrix(make_ring(n), f"ring{n}.txt")
     src = os.path.dirname(os.path.dirname(consensuslab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

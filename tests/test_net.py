@@ -19,6 +19,7 @@ from consensuslab import (
     validate,
     write_matrix,
 )
+from consensuslab.net import _bfs_levels
 
 
 def bool_power(pattern, k):
@@ -273,6 +274,36 @@ class TestStructureOracle:
         # self-loops: the power n/2 first spans the ring
         rep = analyze_structure(make_ring(256, 0.1))
         assert rep.primitive and rep.witness_k == 128
+
+    def test_largest_rings_closed_form(self):
+        rep = analyze_structure(make_ring(1024, 0.0))
+        assert rep.irreducible and not rep.primitive and rep.witness_k is None
+        rep = analyze_structure(make_ring(1025, 0.0))
+        assert rep.primitive and rep.witness_k == 1024
+        rep = analyze_structure(make_ring(1024, 0.1))
+        assert rep.primitive and rep.witness_k == 512
+
+
+class TestBfsLevels:
+    """The bitset search against a queue search, at sizes on both sides of
+    the byte and word boundaries of the packed rows."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 129])
+    def test_matches_a_queue_search(self, n):
+        rng = np.random.default_rng(n)
+        unreached = deepest = 0
+        for mean_degree in (0.5, 1.0, 1.5, 3.0, n / 2):
+            for _ in range(4):
+                P = rng.random((n, n)) < mean_degree / n
+                P[np.diag_indices(n)] = rng.random(n) < 0.5
+                for pattern in (P, P.T):
+                    want = ref.bfs_levels(pattern)
+                    got = _bfs_levels(pattern)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    unreached += (want < 0).any()
+                    deepest = max(deepest, want.max())
+        # both unreached nodes and searches of several levels occur
+        assert unreached and deepest >= min(n - 1, 3)
 
 
 class TestMakeRing:
