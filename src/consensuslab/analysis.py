@@ -270,8 +270,8 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
     lam_n = spec._floats[-1]
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
-    in_range = 0.0 < gamma < 2.0
-    converges = in_range and criterion > certificate_bound(len(spec._floats))
+    in_range = bool(0.0 < gamma < 2.0)
+    converges = in_range and bool(criterion > certificate_bound(len(spec._floats)))
     return ConvergenceVerdict(converges, in_range, criterion, limiting)
 
 
@@ -338,6 +338,17 @@ def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     return float(_check_vector(A, x0, "x0").mean())
 
 
+def _optimum_radius(spec: Spectrum) -> float:
+    """rho_ess, or BadSpectrum unless it lies in (certificate_bound(n), 1):
+    as in `improving_gamma_exists`, a radius within the bound reads as 0
+    (on a complete graph it is rounding noise) and neither optimum exists."""
+    rho = rho_ess(spec)
+    tol = certificate_bound(len(spec._floats))
+    if not tol < rho < 1.0:
+        raise BadSpectrum(f"essential radius {rho!r} is not inside ({tol:.3g}, 1)")
+    return rho
+
+
 def optimal_gamma(spec: Spectrum) -> GammaStar:
     """Rate-optimal MLA parameter and the rate it achieves.
 
@@ -348,14 +359,13 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     eigenvalue is at most a third of its magnitude; outside those
     hypotheses the returned rate is recomputed by `rho_ess_mla` and
     hypotheses_met is False. Both hold within `certificate_bound(n)`.
+    BadSpectrum unless lam_n < 0 and `_optimum_radius` accepts rho.
     """
-    rho = rho_ess(spec)
+    rho = _optimum_radius(spec)
     w = spec._floats
     lam_n = w[-1]
     if lam_n >= 0.0:
         raise BadSpectrum(f"smallest eigenvalue must be negative, got {lam_n!r}")
-    if not 0.0 < rho < 1.0:
-        raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
     lam_2 = w[1]
     tol = certificate_bound(len(w))
     gamma_star = 2.0 / rho * (math.sqrt(1.0 + rho) - 1.0)
@@ -372,11 +382,10 @@ def optimal_beta(spec: Spectrum) -> BetaStar:
     form: beta* = 2 / (1 + sqrt(1 - rho^2)) maps every |lam| <= rho to a
     conjugate or double pair of modulus sqrt(beta* - 1) = rho / (1 +
     sqrt(1 - rho^2)); a smaller beta leaves a slower real pair at rho, a
-    larger one raises sqrt(beta - 1). BadSpectrum unless 0 < rho < 1.
+    larger one raises sqrt(beta - 1). BadSpectrum unless `_optimum_radius`
+    accepts rho.
     """
-    rho = rho_ess(spec)
-    if not 0.0 < rho < 1.0:
-        raise BadSpectrum(f"essential spectral radius must lie in (0, 1), got {rho!r}")
+    rho = _optimum_radius(spec)
     root = math.sqrt(1.0 - rho * rho)
     return BetaStar(beta=2.0 / (1.0 + root), rate=rho / (1.0 + root))
 

@@ -185,13 +185,6 @@ def cmd_simulate(args, parser) -> int:
         model=model, steps=args.steps, runs=args.runs, seed=args.seed
     )
     summary = sim.run_batch(A, cfg)
-    if summary.first_nonfinite_step is not None:
-        print(
-            f"error: the states overflow at step {summary.first_nonfinite_step}"
-            f" of {args.steps}; no envelope written",
-            file=sys.stderr,
-        )
-        return 1
     try:
         summary.write_csv(args.out)
     except OSError as e:

@@ -98,13 +98,14 @@ def _advance(model: ModelParams, AX, X_prev, AX_prev):
 
 
 def _states(A: WeightedAdjacency, model: ModelParams, X0: np.ndarray):
-    """Yield x(1), x(2), ... for the runs in the rows of X0 = x(0) = x(-1).
+    """Yield x(0), x(1), ... for the runs in the rows of X0 = x(0) = x(-1).
 
     Takes one product with the weight matrix per step, when asked for it.
     """
     Wt = A.weights.T
     X_prev = X = X0
-    AX_prev = AX = X0 @ Wt
+    yield X
+    AX_prev = AX = X @ Wt
     while True:
         X, X_prev, AX_prev = _advance(model, AX, X_prev, AX_prev), X, AX
         yield X

@@ -91,13 +91,14 @@ def _real_array(x, what: str) -> np.ndarray:
 
     numpy infers the dtype once: a complex one, even from complex values
     inside a list, is rejected rather than cast with its imaginary parts
-    dropped; numeric strings convert as float() reads them and None
+    dropped, and so are datetime64 and timedelta64, which would cast to
+    integer counts; numeric strings convert as float() reads them and None
     reads as NaN. A float input is copied once, then cast without a copy.
     """
     try:
         x = np.array(x)
-        if x.dtype.kind == "c":
-            raise TypeError("complex values")
+        if x.dtype.kind in "cmM":
+            raise TypeError(f"{x.dtype} values")
         return x.astype(float, copy=False)
     except (TypeError, ValueError) as e:
         raise BadParameter(f"{what} of real numbers: {e}") from None

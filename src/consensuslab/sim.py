@@ -14,9 +14,9 @@ is well-defined even for models that oscillate forever.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -72,15 +72,11 @@ class TraceSummary:
 
     env_max[k] / env_min[k] bound the deviation from the per-run agent
     mean over all runs and agents at step k (k = 0 is the initial state).
-    When the states overflow, first_nonfinite_step is the first step whose
-    envelope is not finite; the arrays then stop just before it and the
-    final spread is that of the last finite step.
     """
 
     env_max: np.ndarray
     env_min: np.ndarray
     final_max_abs_deviation: np.ndarray
-    first_nonfinite_step: int | None = None
 
     def write_csv(self, path) -> None:
         """Write `k,env_min,env_max` rows, one per step including k = 0."""
@@ -105,9 +101,8 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
 
     Deterministic: identical (A, cfg) always produce bit-identical
     summaries. Initial states are uniform on [0, 1); the memory models
-    start from x(-1) = x(0). A divergent model stops before the first
-    step whose envelope is not finite (see TraceSummary), without raising
-    floating-point warnings.
+    start from x(-1) = x(0). Raises NotConvergent at the first step whose
+    envelope is not finite, without floating-point warnings.
     """
     _check_network(A)
     if not isinstance(cfg, SimConfig):
@@ -115,21 +110,18 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
     X0 = np.array([_initial_state(cfg.seed, i, A.n) for i in range(cfg.runs)])
     env_max, env_min = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        states = itertools.chain((X0,), _states(A, cfg.model, X0))
-        for X in itertools.islice(states, cfg.steps + 1):
+        for k, X in enumerate(islice(_states(A, cfg.model, X0), cfg.steps + 1)):
             D = X - X.mean(axis=1, keepdims=True)
             hi, lo = D.max(), D.min()
             if not (math.isfinite(hi) and math.isfinite(lo)):
-                break
+                raise NotConvergent(f"the states overflow at step {k} of {cfg.steps}")
             env_max.append(hi)
             env_min.append(lo)
-            last = D
 
-    k = len(env_max)  # the first step not recorded, if any
-    arrays = np.array(env_max), np.array(env_min), np.abs(last).max(axis=1)
+    arrays = np.array(env_max), np.array(env_min), np.abs(D).max(axis=1)
     for arr in arrays:
         arr.setflags(write=False)
-    return TraceSummary(*arrays, first_nonfinite_step=k if k <= cfg.steps else None)
+    return TraceSummary(*arrays)
 
 
 def simulate_trajectory(
@@ -140,16 +132,15 @@ def simulate_trajectory(
     Raises DimensionMismatch unless x0 has n entries, BadParameter when
     one is not finite or steps is not an integer >= 0, and NotConvergent
     at the first state that is not finite, without floating-point
-    warnings (where `run_batch` truncates instead).
+    warnings.
     """
     _check_network(A)
     _check_model(model)
     x0 = _check_vector(A, x0, "x0")
     _check_int(steps, "steps", 0)
     out = np.empty((steps + 1, A.n))
-    out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, X in zip(range(1, steps + 1), _states(A, model, x0[None])):
+        for k, X in enumerate(islice(_states(A, model, x0[None]), steps + 1)):
             out[k] = X[0]
     # one pass over all rows costs less than a check per step
     finite = np.isfinite(out).all(axis=1)

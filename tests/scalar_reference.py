@@ -30,6 +30,7 @@ import numpy as np
 
 from consensuslab.analysis import BetaStar, ConvergenceVerdict
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
+from consensuslab.errors import NotConvergent
 from consensuslab.net import validate
 from consensuslab.sim import TraceSummary, _substream
 from consensuslab.spectral import certificate_bound, rho_ess
@@ -159,13 +160,13 @@ def run_batch(A, cfg) -> TraceSummary:
         D = X - X.mean(axis=1, keepdims=True)
         env_max[k] = D.max()
         env_min[k] = D.min()
-        return math.isfinite(env_max[k]) and math.isfinite(env_min[k])
+        if not (math.isfinite(env_max[k]) and math.isfinite(env_min[k])):
+            raise NotConvergent(f"the states overflow at step {k} of {cfg.steps}")
 
     record(0, X0)
     kind, param = cfg.model.kind, cfg.model.param
     Xc = X0
     Xp = X0
-    first_nonfinite = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.steps + 1):
             if kind is ModelKind.DEGROOT:
@@ -174,10 +175,7 @@ def run_batch(A, cfg) -> TraceSummary:
                 Xn = param * (Xc @ W.T) + (1.0 - param) * Xp
             else:
                 Xn = param * (Xc @ W.T) + (1.0 - param) * (Xp @ W.T)
-            if not record(k, Xn):
-                first_nonfinite = k
-                env_max, env_min = env_max[:k], env_min[:k]
-                break
+            record(k, Xn)
             Xc, Xp = Xn, Xc
 
     D = Xc - Xc.mean(axis=1, keepdims=True)
@@ -185,7 +183,6 @@ def run_batch(A, cfg) -> TraceSummary:
         env_max=env_max,
         env_min=env_min,
         final_max_abs_deviation=np.abs(D).max(axis=1),
-        first_nonfinite_step=first_nonfinite,
     )
 
 

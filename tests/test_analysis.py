@@ -548,6 +548,25 @@ class TestOptimalBeta:
         assert gs.rate < bs.rate < rho
 
 
+# every eigenvalue but the dominant 1 is 0, so rho_ess is rounding noise
+COMPLETE_GRAPHS = [validate(np.full((n, n), 1.0 / n)) for n in (3, 4, 8, 16, 64)]
+
+
+@pytest.mark.parametrize(
+    "A",
+    COMPLETE_GRAPHS + [make_ring(3, 1.0 / 3.0)],
+    ids=[f"K{A.n}" for A in COMPLETE_GRAPHS] + ["ring3-third"],
+)
+def test_no_optima_on_a_complete_graph(A):
+    spec = eigendecompose_symmetric(A)
+    assert rho_ess(spec) <= consensuslab.spectral.certificate_bound(A.n)
+    with pytest.raises(BadSpectrum):
+        optimal_gamma(spec)
+    with pytest.raises(BadSpectrum):
+        optimal_beta(spec)
+    assert improving_gamma_exists(spec) is None
+
+
 class TestRateChainInequality:
     def test_holds_on_fine_grid(self):
         for rho in np.arange(0.01, 0.995, 0.01):

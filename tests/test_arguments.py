@@ -84,7 +84,16 @@ def test_parameters_must_be_real_numbers(ring4_loops_spectrum, param):
         ModelParams(ModelKind.MLA, param)
 
 
-@pytest.mark.parametrize("x0", [["a"] * 4, [0.5 + 1j] * 4, [{}] * 4])
+@pytest.mark.parametrize(
+    "x0",
+    [
+        ["a"] * 4,
+        [0.5 + 1j] * 4,
+        [{}] * 4,
+        np.array([0, 1, 2, 3], dtype="timedelta64[s]"),
+        np.array([0, 1, 2, 3], dtype="datetime64[s]"),
+    ],
+)
 def test_states_must_be_real_numbers(x0):
     with pytest.raises(BadParameter, match="real numbers"):
         simulate_trajectory(make_ring(4, 0.1), ModelParams.mla(0.5), x0, 3)

@@ -179,6 +179,19 @@ class TestAnalyzeCommand:
             "inside (0, 1)"
         ]
 
+    def test_complete_graph_prints_no_optima(self, tmp_path, capsys):
+        # rho_ess is rounding noise, below the certificate bound
+        path = tmp_path / "k4.txt"
+        write_matrix(validate(np.full((4, 4), 0.25)), path)
+        assert main(["analyze", "--input", str(path), "--porcelain"]) == 0
+        kv = porcelain(capsys.readouterr().out)
+        for key in ("gamma_star", "mla_rate", "mla_hypotheses_met", "beta_star"):
+            assert kv[key] == "nan"
+        assert kv["rate_chain_ok"] == "false"
+        assert main(["analyze", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "optimal parameters unavailable" in out
+
     def test_asymmetric_input_exits_one(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
         p.write_text("2\n0.2 0.8\n0.5 0.5\n")
@@ -386,8 +399,19 @@ def test_parser_is_built_once():
         (["analyze", "--input", "absent.txt"], 2, "error: cannot read absent.txt"),
         (["validate", "--input", "ring64.txt", "--porcelain"], 0, ""),
         (["validate", "--input", "ring65.txt", "--porcelain"], 0, ""),
+        (
+            [
+                "simulate", "--ring", "8", "--model", "mla", "--param", "3",
+                "--steps", "3000", "--out", "o.csv",
+            ],
+            1,
+            "error: the states overflow at step 561 of 3000\n",
+        ),
     ],
-    ids=["ring", "no-input", "missing-path", "validate-64", "validate-65"],
+    ids=[
+        "ring", "no-input", "missing-path", "validate-64", "validate-65",
+        "simulate-overflow",
+    ],
 )
 def test_console_entry_point_runs_as_a_process(
     argv, code, err, tmp_path, capsys, monkeypatch
@@ -410,3 +434,5 @@ def test_console_entry_point_runs_as_a_process(
         assert done.stderr == b""
         assert main(argv) == 0
         assert done.stdout == capsys.readouterr().out.encode()
+    else:
+        assert done.stdout == b"" and not os.path.exists("o.csv")

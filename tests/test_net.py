@@ -154,6 +154,8 @@ class TestValidate:
             np.array([[0.5 + 0j, 0.5], [0.5, 0.5]]),
             [np.array([0.5 + 0j, 0.5]), np.array([0.5, 0.5])],
             [[np.complex128(0.5), 0.5], [0.5, 0.5]],
+            np.array([[0, 1], [1, 0]], dtype="datetime64[s]"),
+            np.array([[0, 1], [1, 0]], dtype="timedelta64[s]"),
         ],
         ids=[
             "strings",
@@ -163,6 +165,8 @@ class TestValidate:
             "complex-array",
             "complex-row-in-list",
             "complex-scalar-in-list",
+            "datetime",
+            "timedelta",
         ],
     )
     def test_not_a_real_matrix(self, weights):

@@ -214,6 +214,7 @@ def test_numpy_scalar_parameters_match_reference(param, corpus20):
     for spec in spectra:
         got = check_mla_convergence(spec, param)
         want = ref.check_mla_convergence(spec, param)
+        assert type(got.converges) is bool and type(got.gamma_in_range) is bool
         assert got.converges == want.converges
         assert bits(got.criterion_ii_value) == bits(want.criterion_ii_value)
         assert bits(got.limiting_eigenvalue_modulus) == bits(

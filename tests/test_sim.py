@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -123,14 +124,10 @@ class TestRunBatch:
 
     def test_csv_matches_row_loop(self, tmp_path):
         ring = make_ring(8, 0.0)
-        # each model, then an overflowing MLA run, truncated before its
-        # first non-finite step
-        configs = [(m, 40) for m in MODELS] + [(ModelParams.mla(3.0), 3000)]
         batches = [
-            run_batch(ring, SimConfig(model=m, steps=steps, runs=5, seed=3))
-            for m, steps in configs
+            run_batch(ring, SimConfig(model=m, steps=40, runs=5, seed=3))
+            for m in MODELS
         ]
-        assert batches[-1].first_nonfinite_step is not None
         odd = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5e-320, 1 / 3])
         batches.append(TraceSummary(odd, -odd, odd))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -141,27 +138,30 @@ class TestRunBatch:
 
 
 class TestDivergentBatch:
+    """A batch that overflows raises instead of returning a truncated envelope."""
+
     def test_stops_at_the_first_nonfinite_step(self):
         A = make_ring(8, 0.0)
         cfg = SimConfig(model=ModelParams.mla(3.0), steps=3000, runs=20, seed=3)
-        ts = run_batch(A, cfg)
-        k = ts.first_nonfinite_step
-        assert k is not None and 1 < k < 3000
-        assert ts.env_max.size == ts.env_min.size == k
-        assert np.all(np.isfinite(ts.env_max)) and np.all(np.isfinite(ts.env_min))
-        assert np.all(np.isfinite(ts.final_max_abs_deviation))
-        # the finite prefix is exactly the batch run for k - 1 steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConvergent) as info:
+                run_batch(A, cfg)
+        m = re.fullmatch(r"the states overflow at step (\d+) of 3000", str(info.value))
+        assert m is not None
+        k = int(m[1])
+        assert 1 < k < 3000
+        # one step shorter, the batch is finite
         short = run_batch(A, SimConfig(model=cfg.model, steps=k - 1, runs=20, seed=3))
-        assert short.first_nonfinite_step is None
-        assert np.array_equal(short.env_max, ts.env_max)
-        assert np.array_equal(short.env_min, ts.env_min)
-        assert np.array_equal(
-            short.final_max_abs_deviation, ts.final_max_abs_deviation
-        )
+        assert short.env_max.size == short.env_min.size == k
+        assert np.isfinite(short.env_max).all() and np.isfinite(short.env_min).all()
+        assert np.isfinite(short.final_max_abs_deviation).all()
 
     def test_convergent_batch_has_no_nonfinite_step(self, ring4_loops):
         cfg = SimConfig(model=ModelParams.mla(0.5), steps=50, runs=5, seed=1)
-        assert run_batch(ring4_loops, cfg).first_nonfinite_step is None
+        ts = run_batch(ring4_loops, cfg)
+        assert ts.env_max.size == ts.env_min.size == 51
+        assert np.isfinite(ts.env_max).all() and np.isfinite(ts.env_min).all()
 
 
 class TestDivergentTrajectory:
@@ -226,11 +226,17 @@ class TestAgainstLoopReference:
                 )
 
     def test_divergent_batch(self):
-        cfg = SimConfig(model=ModelParams.mla(3.0), steps=3000, runs=20, seed=3)
+        # both raise at the same step, and one step shorter agree bit for bit
         A = make_ring(8, 0.0)
-        got = run_batch(A, cfg)
-        assert got.first_nonfinite_step is not None
-        self.assert_same_summary(got, ref.run_batch(A, cfg))
+        cfg = SimConfig(model=ModelParams.mla(3.0), steps=3000, runs=20, seed=3)
+        with pytest.raises(NotConvergent) as want:
+            ref.run_batch(A, cfg)
+        with pytest.raises(NotConvergent) as got:
+            run_batch(A, cfg)
+        assert str(got.value) == str(want.value)
+        k = int(re.search(r"step (\d+)", str(want.value))[1])
+        short = SimConfig(model=cfg.model, steps=k - 1, runs=20, seed=3)
+        self.assert_same_summary(run_batch(A, short), ref.run_batch(A, short))
 
     def test_one_product_per_step(self):
         # MLA reuses the previous step's product instead of taking a second
@@ -255,7 +261,6 @@ class TestAgainstLoopReference:
 
     @staticmethod
     def assert_same_summary(got, want):
-        assert got.first_nonfinite_step == want.first_nonfinite_step
         assert same_bits(got.env_max, want.env_max)
         assert same_bits(got.env_min, want.env_min)
         assert same_bits(got.final_max_abs_deviation, want.final_max_abs_deviation)
