@@ -19,12 +19,14 @@ spectrum. The larger root modulus never decreases with |lam| on either
 sign side, so a walk inward from lambda_2 and then from lambda_n, one
 `_larger_modulus` per eigenvalue and none twice, stops on a side once its
 modulus falls below the running maximum by more than the kernels'
-rounding error; on the accelerated model's flat modulus sqrt(beta - 1)
-over its conjugate region it reads the whole spectrum. Either way the
-result is the whole-spectrum maximum, bit for bit. Both optima are
-closed forms in the essential radius; only gamma*'s needs hypotheses.
-Values within the solve error `certificate_bound(n)` count as equal; the
-cancellation guard adds the input error the network checks allow.
+rounding error. So it reads every eigenvalue within that margin of the
+maximum: each copy of a repeated end eigenvalue (the n - 1 zeros of the
+complete graph at gamma = 1) and all of the accelerated model's flat
+sqrt(beta - 1) over its conjugate region. Either way the result is the
+whole-spectrum maximum, bit for bit. Both optima are closed forms in the
+essential radius; only gamma*'s needs hypotheses. Values within the
+solve error `certificate_bound(n)` count as equal; the cancellation
+guard adds the input error the network checks allow.
 """
 
 from __future__ import annotations

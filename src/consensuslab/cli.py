@@ -106,8 +106,10 @@ def cmd_analyze(args, parser) -> int:
     gs = bs = None
     with suppress(BadSpectrum):
         gs = analysis.optimal_gamma(spec)
-    with suppress(BadSpectrum):
+    try:
         bs = analysis.optimal_beta(spec)
+    except BadSpectrum as e:
+        no_optima = e
     chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
 
     verdict = gamma_rate = None
@@ -149,11 +151,7 @@ def cmd_analyze(args, parser) -> int:
         elif bs is not None:
             print("gamma* unavailable: needs a negative smallest eigenvalue")
         if bs is None:
-            print(
-                "optimal parameters unavailable: needs a primitive network "
-                "with a negative smallest eigenvalue and essential radius "
-                "inside (0, 1)"
-            )
+            print(f"optimal parameters unavailable: {no_optima}")
         else:
             print(f"beta*  = {f % bs.beta}   accelerated rate {f % bs.rate}")
         if gs is not None:

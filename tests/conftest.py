@@ -1,12 +1,16 @@
+import collections
+
 import numpy as np
 import pytest
 
 from consensuslab import (
+    analysis,
     eigendecompose_symmetric,
     make_ring,
     random_symmetric_stochastic,
     validate,
 )
+from consensuslab.analysis import _larger_modulus, _max_root_modulus
 
 LARGE_SIZES = (32, 128, 256)
 
@@ -84,3 +88,23 @@ def corpus_large():
         for A in (make_ring(n, 0.1), bipartite_with_loops(n, 0.1, seed=n)):
             out.append((A, eigendecompose_symmetric(A)))
     return out
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Count the root-modulus reads the radii make: "walk" for each
+    eigenvalue read through `_larger_modulus`, "array" for each call of
+    `_max_root_modulus`, which only the contour grid needs."""
+    counts = collections.Counter()
+
+    def walk(b, c):
+        counts["walk"] += 1
+        return _larger_modulus(b, c)
+
+    def array(b, c):
+        counts["array"] += 1
+        return _max_root_modulus(b, c)
+
+    monkeypatch.setattr(analysis, "_larger_modulus", walk)
+    monkeypatch.setattr(analysis, "_max_root_modulus", array)
+    return counts

@@ -17,6 +17,8 @@ beta* that its closed form replaced. And the random network generator
 with one loop step per pair, which the bulk draw reproduces bit for bit.
 And the breadth-first search with a queue and one edge test per pair,
 whose levels the bitset search in `consensuslab.net` reproduces.
+And the exact distance to consensus read off a solved spectrum, which a
+simulated trajectory must follow to rounding.
 """
 
 from __future__ import annotations
@@ -256,6 +258,35 @@ def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
     sq = cmath.sqrt(mid * mid - 4.0 * lead * (b - a + 1.0))
     s1, s2 = (-mid + sq) / (2.0 * lead), (-mid - sq) / (2.0 * lead)
     return s1.real < 0.0 and s2.real < 0.0
+
+
+def distance_sequence(spec, model, x0, steps: int) -> np.ndarray:
+    """||e(k)|| for k = 0..steps from the spectrum alone, e(k) = x(k) - mean(x0).
+
+    With eigenpairs (lam_i, v_i) of a symmetric W and c = V^T e(0), each
+    model's error is e(k) = V p_k(Lambda) c, so ||e(k)|| = ||p_k(Lambda) c||.
+    The scalar recurrence starts at p_{-1} = p_0 = 1, as the simulators
+    start from x(-1) = x(0): p_{k+1} = lam p_k (DeGroot), beta lam p_k +
+    (1 - beta) p_{k-1} (accelerated), gamma lam p_k + (1 - gamma) lam
+    p_{k-1} (MLA).
+    """
+    lam = spec.eigenvalues
+    x0 = np.asarray(x0, dtype=float)
+    c = spec.eigenvectors.T @ (x0 - x0.mean())
+    kind, param = model.kind, model.param
+    p_prev = p = np.ones_like(lam)
+    out = np.empty(steps + 1)
+    out[0] = np.linalg.norm(c)
+    for k in range(1, steps + 1):
+        if kind is ModelKind.DEGROOT:
+            p_next = lam * p
+        elif kind is ModelKind.ACCELERATED:
+            p_next = param * lam * p + (1.0 - param) * p_prev
+        else:
+            p_next = param * lam * p + (1.0 - param) * lam * p_prev
+        p_prev, p = p, p_next
+        out[k] = np.linalg.norm(p * c)
+    return out
 
 
 def make_ring(n: int, self_loop: float = 0.0):

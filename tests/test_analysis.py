@@ -42,7 +42,7 @@ RATE_STAR = 0.3416407864998738  # sqrt(1.8) - 1
 
 def synthetic_spectrum(eigenvalues):
     w = np.asarray(eigenvalues, dtype=float)
-    return Spectrum(eigenvalues=w, eigenvectors=np.eye(w.size))
+    return Spectrum(eigenvalues=w)
 
 
 def mla_pair(lam, gamma):

@@ -174,9 +174,18 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--ring", "8"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[3:] == [
-            "optimal parameters unavailable: needs a primitive network "
-            "with a negative smallest eigenvalue and essential radius "
-            "inside (0, 1)"
+            "optimal parameters unavailable: essential radius 1.0 "
+            "is not inside (2.84e-14, 1)"
+        ]
+
+    def test_complete_graph_says_why_there_are_no_optima(self, capsys):
+        # K_3: the radius is rounding noise below 16 n eps, not a radius in (0, 1)
+        assert main(["analyze", "--ring", "3", "--self-loop", "0.3333333333333333"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [
+            "rho_ess(A):  3.44432470187e-16   (DeGroot rate)",
+            "optimal parameters unavailable: essential radius "
+            "3.4443247018676697e-16 is not inside (1.07e-14, 1)",
         ]
 
     def test_complete_graph_prints_no_optima(self, tmp_path, capsys):

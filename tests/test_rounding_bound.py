@@ -71,7 +71,7 @@ def test_analyze_at_gamma_one_matches_degroot(n, capsys):
 def test_both_models_fail_within_the_bound_of_minus_one():
     # lambda_n = -1 + 2e-12 is within certificate_bound(1000) = 3.6e-12 of -1
     w = np.array([1.0, *np.linspace(0.5, -1.0 + 2e-12, 999)])
-    spec = Spectrum(w, np.eye(w.size))
+    spec = Spectrum(w)
     assert rho_ess(spec) == 1.0
     for model in (ModelParams.degroot(), ModelParams.mla(1.0)):
         with pytest.raises(NotConvergent):
@@ -145,12 +145,12 @@ def test_reducible_within_the_symmetry_error_raises():
 def test_cancellation_allows_for_the_input_error():
     # lambda_2 + lambda_n = 1e-12 lies within the input error of 0, though
     # beyond 16 n eps
-    spec = Spectrum(np.array([1.0, 0.5, 0.0, -0.5 + 1e-12]), np.eye(4))
+    spec = Spectrum(np.array([1.0, 0.5, 0.0, -0.5 + 1e-12]))
     with pytest.raises(DegenerateSpectrum):
         improving_gamma_exists(spec)
     # beyond the input error the essential eigenvalue is read, and the near
     # tie leaves no tried gamma an improvement
-    spec = Spectrum(np.array([1.0, 0.5, 0.0, -0.5 + 1e-10]), np.eye(4))
+    spec = Spectrum(np.array([1.0, 0.5, 0.0, -0.5 + 1e-10]))
     assert improving_gamma_exists(spec) is None
 
 

@@ -30,6 +30,7 @@ from consensuslab import (
     simulate_trajectory,
     validate,
 )
+from consensuslab.spectral import certificate_bound
 
 
 class TestSimConfig:
@@ -279,6 +280,35 @@ class TestSimulatedConsensus:
             want = consensus_value(A, spec, x0)
             traj = simulate_trajectory(A, ModelParams.mla(gamma), x0, 400)
             assert np.max(np.abs(traj[-1] - want)) <= 1e-8
+
+
+class TestExactDistance:
+    """The simulated distance to consensus against ||p_k(Lambda) V^T e(0)||,
+    the exact sequence read off the solved spectrum."""
+
+    @pytest.mark.parametrize(
+        "A",
+        [make_ring(16, 0.1), make_ring(8), random_symmetric_stochastic(64, 2)],
+        ids=["ring16_loops", "ring8", "random64"],
+    )
+    def test_trajectory_follows_the_spectrum(self, A):
+        spec = eigendecompose_symmetric(A)
+        x0 = np.random.default_rng(A.n).uniform(0.0, 1.0, A.n)
+        steps = 200
+        # the solve's residual and each step's rounding are within
+        # certificate_bound(n) of ||e(0)||; with no repeated root on the
+        # unit circle they add up at most linearly in k
+        k = np.arange(steps + 1)
+        bound = certificate_bound(A.n) * (k + 1) * np.linalg.norm(x0 - x0.mean())
+        for model in (
+            ModelParams.degroot(),
+            ModelParams.accelerated(1.3),
+            ModelParams.mla(0.9),
+        ):
+            want = ref.distance_sequence(spec, model, x0, steps)
+            traj = simulate_trajectory(A, model, x0, steps)
+            got = np.linalg.norm(traj - x0.mean(), axis=1)
+            assert np.all(np.abs(got - want) <= bound), model
 
 
 class TestFitRate:
