@@ -27,6 +27,11 @@ whole-spectrum maximum, bit for bit. Both optima are closed forms in the
 essential radius; only gamma*'s needs hypotheses. Values within the
 solve error `certificate_bound(n)` count as equal; the cancellation
 guard adds the input error the network checks allow.
+
+A verdict or rate pays for its reads and little else: the `Spectrum`
+settled its simple-dominant rule, its `certificate_bound(n)` and its end
+scale max(|lambda_1|, |lambda_n|) when it was built, and the analysis
+takes them from it instead of deriving them again on each call.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .spectral import (
     Spectrum,
     _contract_bound,
     _require_simple_dominant,
-    certificate_bound,
     rho_ess,
 )
 
@@ -80,6 +84,11 @@ class GammaStar(NamedTuple):
 class BetaStar(NamedTuple):
     beta: float
     rate: float
+
+
+# the NamedTuple's own __new__ is generated Python that only packs its
+# arguments, about twice the cost of tuple.__new__ per verdict
+_new_verdict = tuple.__new__
 
 
 # a discriminant this small relative to the terms it was computed from is
@@ -177,7 +186,10 @@ def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
     # the type test first: the ABC check alone costs up to about 1 us a call
     if type(param) is not float and not isinstance(param, numbers.Real):
         raise BadParameter(f"{name} must be a real number, got {param!r}")
-    lam, param = abs(float(lam)), float(param)
+    try:
+        lam, param = abs(float(lam)), float(param)
+    except OverflowError:
+        raise BadParameter(f"{name} lies beyond the float range") from None
     b, c = coefficients(lam, param)
     if not math.isfinite(b * b + abs(4.0 * c)):
         raise BadParameter(
@@ -231,28 +243,41 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     running maximum (see _WALK_SCALE), then the same walk from the
     lambda_n side, never past where the first stopped. The result is the
     maximum over the whole spectrum, bit for bit. A numpy scalar
-    parameter sets the precision of the root sums and products.
+    parameter sets the precision of the root sums and products. The
+    overflow check reads the end scale the spectrum settled when built.
     """
     _require_simple_dominant(spec)
+    _check_roots(coefficients, spec._scale, param, name)
     w = spec._floats
-    _check_roots(coefficients, max(abs(w[0]), abs(w[-1])), param, name)
-    plus, minus = _root_pair(*coefficients(w[0], param))
+    n = len(w)
+    b, c = coefficients(w[0], param)
+    plus, minus = _root_pair(b, c)
     best = abs(minus if abs(plus - 1.0) <= abs(minus - 1.0) else plus)
-    # lambda_2 and lambda_n once each: one read at n = 2, none at n = 1
-    at_lo = at_hi = best
-    if len(w) > 1:
-        at_lo = at_hi = _larger_modulus(*coefficients(w[1], param))
-    if len(w) > 2:
-        at_hi = _larger_modulus(*coefficients(w[-1], param))
-    best = max(best, at_lo, at_hi)
-    lo, hi = 2, len(w) - 2
+    if n == 1:
+        return best
+    # lambda_2 and lambda_n once each: one read at n = 2
+    b, c = coefficients(w[1], param)
+    at_lo = at_hi = _larger_modulus(b, c)
+    if n > 2:
+        b, c = coefficients(w[-1], param)
+        at_hi = _larger_modulus(b, c)
+    # plain comparisons, not max(): the same bits, as no modulus is NaN or -0.0
+    if at_lo > best:
+        best = at_lo
+    if at_hi > best:
+        best = at_hi
+    lo, hi = 2, n - 2
     while lo <= hi and at_lo * _WALK_SCALE + _WALK_FLOOR >= best:
-        at_lo = _larger_modulus(*coefficients(w[lo], param))
-        best = max(best, at_lo)
+        b, c = coefficients(w[lo], param)
+        at_lo = _larger_modulus(b, c)
+        if at_lo > best:
+            best = at_lo
         lo += 1
     while lo <= hi and at_hi * _WALK_SCALE + _WALK_FLOOR >= best:
-        at_hi = _larger_modulus(*coefficients(w[hi], param))
-        best = max(best, at_hi)
+        b, c = coefficients(w[hi], param)
+        at_hi = _larger_modulus(b, c)
+        if at_hi > best:
+            best = at_hi
         hi -= 1
     return best
 
@@ -272,9 +297,10 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
     lam_n = spec._floats[-1]
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
-    in_range = bool(0.0 < gamma < 2.0)
-    converges = in_range and bool(criterion > certificate_bound(len(spec._floats)))
-    return ConvergenceVerdict(converges, in_range, criterion, limiting)
+    # a numpy gamma compares to a numpy bool; the verdict holds Python bools
+    in_range = True if 0.0 < gamma < 2.0 else False
+    converges = True if in_range and criterion > spec._bound else False
+    return _new_verdict(ConvergenceVerdict, (converges, in_range, criterion, limiting))
 
 
 def rho_ess_mla(spec: Spectrum, gamma: float) -> float:
@@ -345,7 +371,7 @@ def _optimum_radius(spec: Spectrum) -> float:
     as in `improving_gamma_exists`, a radius within the bound reads as 0
     (on a complete graph it is rounding noise) and neither optimum exists."""
     rho = rho_ess(spec)
-    tol = certificate_bound(len(spec._floats))
+    tol = spec._bound
     if not tol < rho < 1.0:
         raise BadSpectrum(f"essential radius {rho!r} is not inside ({tol:.3g}, 1)")
     return rho
@@ -369,7 +395,7 @@ def optimal_gamma(spec: Spectrum) -> GammaStar:
     if lam_n >= 0.0:
         raise BadSpectrum(f"smallest eigenvalue must be negative, got {lam_n!r}")
     lam_2 = w[1]
-    tol = certificate_bound(len(w))
+    tol = spec._bound
     gamma_star = 2.0 / rho * (math.sqrt(1.0 + rho) - 1.0)
     hypotheses_met = (lam_2 <= abs(lam_n) / 3.0 + tol) and (abs(lam_n + rho) <= tol)
     if hypotheses_met:
@@ -407,7 +433,7 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
     """
     rho = rho_ess(spec)
     w = spec._floats
-    tol = certificate_bound(len(w))
+    tol = spec._bound
     if rho <= tol:
         return None
     if rho == 1.0:

@@ -48,7 +48,11 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.kind, ModelKind):
             raise BadParameter(f"model kind must be a ModelKind, got {self.kind!r}")
-        if not (isinstance(self.param, numbers.Real) and math.isfinite(self.param)):
+        try:
+            finite = isinstance(self.param, numbers.Real) and math.isfinite(self.param)
+        except OverflowError:  # an integer or fraction past the float range
+            finite = False
+        if not finite:
             raise BadParameter(
                 f"model parameter must be a finite real number, got {self.param!r}"
             )

@@ -7,6 +7,10 @@ eigen-residual and orthogonality error, and a solve whose certificate
 exceeds `certificate_bound(n)` raises instead of returning. Output is
 bit-identical for a fixed numpy/BLAS build and BLAS thread count.
 
+A `Spectrum` settles when it is built what every analysis call would
+otherwise derive again: the simple-dominant rule (`_dominance_fault`),
+`certificate_bound(n)` and the end scale max(|lambda_1|, |lambda_n|).
+
 Spectra of the 2n-by-2n stacked iteration matrix are never computed with a
 general eigensolver. They come from the closed-form quadratic mapping in
 `analysis`.
@@ -73,8 +77,11 @@ class Spectrum:
     non-empty 1-D real finite array sorted descending and eigenvectors,
     if given, are n-by-n: `rho_ess` and the root mapping in `analysis`
     read the extremes of the spectrum at its two ends. The eigenvalues are
-    kept read-only (a writable input is copied) beside `_floats`, the
-    Python floats `analysis` reads, so neither can go stale.
+    kept read-only (a writable input is copied) beside what construction
+    derives from them once, so none of it can go stale: `_floats`, the
+    Python floats `analysis` reads; `_simple`, whether they meet the
+    simple-dominant rule; `_bound`, `certificate_bound(n)`; and `_scale`,
+    max(|lambda_1|, |lambda_n|), the largest modulus of the sorted values.
     """
 
     eigenvalues: np.ndarray
@@ -82,6 +89,9 @@ class Spectrum:
     residual: float = float("nan")
     orth_error: float = float("nan")
     _floats: tuple[float, ...] = field(init=False, repr=False)
+    _simple: bool = field(init=False, repr=False)
+    _bound: float = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = self.eigenvalues
@@ -98,7 +108,11 @@ class Spectrum:
             raise BadSpectrum(
                 f"eigenvectors must be {w.size}-by-{w.size}, got shape {np.shape(v)}"
             )
-        object.__setattr__(self, "_floats", tuple(w.astype(float, copy=False).tolist()))
+        floats = tuple(w.astype(float, copy=False).tolist())
+        object.__setattr__(self, "_floats", floats)
+        object.__setattr__(self, "_simple", _dominance_fault(floats) is None)
+        object.__setattr__(self, "_bound", certificate_bound(len(floats)))
+        object.__setattr__(self, "_scale", max(abs(floats[0]), abs(floats[-1])))
 
 
 def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
@@ -150,11 +164,11 @@ def rho_ess(spec: Spectrum) -> float:
         return 0.0
     # sorted descending, so the largest modulus sits at one of the ends
     rho = max(abs(w[1]), abs(w[-1]))
-    return 1.0 if rho >= 1.0 - certificate_bound(len(w)) else rho
+    return 1.0 if rho >= 1.0 - spec._bound else rho
 
 
-def _require_simple_dominant(spec: Spectrum) -> None:
-    """Raise unless the spectrum leads with a simple eigenvalue 1.
+def _dominance_fault(w: tuple[float, ...]) -> AssumptionViolated | None:
+    """The error a spectrum w breaks the simple-dominant rule with, or None.
 
     AssumptionViolated when the leading eigenvalue is more than 1e-8 from
     1, as no row-stochastic spectrum is; DominantNotSimple when the second
@@ -162,19 +176,29 @@ def _require_simple_dominant(spec: Spectrum) -> None:
     network that is reducible, or within the input error the network
     checks allow of one (a ring of self-loop 0.1 from n = 30,001, gap
     1.97e-8 against 3.01e-8; n = 25,000 passes, 2.84e-8 against 2.51e-8).
-    BadParameter when spec is not a Spectrum.
+    Python floats: a float32 spectrum would round 1 minus the bound to 1.
     """
-    if not isinstance(spec, Spectrum):
-        raise BadParameter(f"spectrum must be a Spectrum, got {type(spec).__name__}")
-    # Python floats: a float32 spectrum would round 1 minus the bound to 1
-    w = spec._floats
     if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:
-        raise AssumptionViolated(
+        return AssumptionViolated(
             f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
             "row-stochastic network spectrum"
         )
     if len(w) >= 2 and w[1] >= 1.0 - (bound := _contract_bound(len(w))):
-        raise DominantNotSimple(
+        return DominantNotSimple(
             f"network is reducible: second eigenvalue {w[1]!r} "
             f"is within {bound:g} of 1"
         )
+    return None
+
+
+def _require_simple_dominant(spec: Spectrum) -> None:
+    """Raise unless the spectrum leads with a simple eigenvalue 1.
+
+    BadParameter when spec is not a Spectrum; otherwise the error of
+    `_dominance_fault`, whose verdict the Spectrum settled when it was
+    built, so a spectrum that meets the rule returns at once.
+    """
+    if not isinstance(spec, Spectrum):
+        raise BadParameter(f"spectrum must be a Spectrum, got {type(spec).__name__}")
+    if not spec._simple:
+        raise _dominance_fault(spec._floats)

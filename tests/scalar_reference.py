@@ -18,7 +18,9 @@ with one loop step per pair, which the bulk draw reproduces bit for bit.
 And the breadth-first search with a queue and one edge test per pair,
 whose levels the bitset search in `consensuslab.net` reproduces.
 And the exact distance to consensus read off a solved spectrum, which a
-simulated trajectory must follow to rounding.
+simulated trajectory must follow to rounding. And the simple-dominant
+rule checked afresh on every call, which a `Spectrum` now settles once
+when it is built.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import numpy as np
 
 from consensuslab.analysis import BetaStar, ConvergenceVerdict
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
-from consensuslab.errors import NotConvergent
+from consensuslab.errors import AssumptionViolated, DominantNotSimple, NotConvergent
 from consensuslab.net import validate
 from consensuslab.sim import TraceSummary, _substream
-from consensuslab.spectral import certificate_bound, rho_ess
+from consensuslab.spectral import _contract_bound, certificate_bound, rho_ess
 
 
 class MappedPair(NamedTuple):
@@ -112,6 +114,23 @@ def check_mla_convergence(spec, gamma: float) -> ConvergenceVerdict:
 
 def rho_ess_accelerated(spec, beta: float) -> float:
     return float(np.max(non_dominant_moduli(spec, beta, map_eigenvalue_accelerated)))
+
+
+def dominance_error(eigenvalues):
+    """(class, message) of the error every analysis call raises on these
+    eigenvalues for want of a simple dominant eigenvalue 1, or None."""
+    w = [float(x) for x in eigenvalues]
+    if abs(w[0] - 1.0) > 1e-8:
+        return AssumptionViolated, (
+            f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
+            "row-stochastic network spectrum"
+        )
+    bound = _contract_bound(len(w))
+    if len(w) >= 2 and w[1] >= 1.0 - bound:
+        return DominantNotSimple, (
+            f"network is reducible: second eigenvalue {w[1]!r} is within {bound:g} of 1"
+        )
+    return None
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 import cmath
+import collections
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,7 @@ from consensuslab import (
     simulate_trajectory,
     validate,
 )
+from consensuslab import spectral
 from scalar_reference import augmented_matrix, roots_in_unit_disk_via_halfplane
 
 GAMMA_STAR = 0.8541019662496845  # 2.5 * (sqrt(1.8) - 1) for rho = 0.8
@@ -319,6 +322,30 @@ class TestParameterGuards:
         with pytest.raises(BadParameter):
             rho_ess_accelerated(spec, 0.5)
 
+    @pytest.mark.parametrize(
+        "param", [10**400, -(10**400), Fraction(10**400, 3)], ids=["1e400", "-1e400", "fraction"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            check_mla_convergence,
+            rho_ess_mla,
+            rho_ess_accelerated,
+            # model_rate's parameter comes in a ModelParams, which rejects it
+            lambda spec, p: model_rate(spec, ModelParams.mla(p)),
+            lambda spec, p: model_rate(spec, ModelParams.accelerated(p)),
+            lambda spec, p: lambda_hat_max(0.5, p),
+            lambda spec, p: lambda_hat_max(p, 0.5),
+        ],
+        ids=["check_mla_convergence", "rho_ess_mla", "rho_ess_accelerated",
+             "model_rate-mla", "model_rate-accelerated", "lambda_hat_max-gamma",
+             "lambda_hat_max-lam"],
+    )
+    def test_parameters_beyond_the_float_range(self, ring4_loops_spectrum, call, param):
+        # a real number float() cannot hold raises no raw OverflowError
+        with pytest.raises(BadParameter):
+            call(ring4_loops_spectrum, param)
+
     def test_large_finite_parameters_still_map(self, ring4_loops_spectrum):
         # b*b stays finite up to |b| of about 1.34e154
         v = check_mla_convergence(ring4_loops_spectrum, 1e150)
@@ -356,6 +383,51 @@ class TestSpectrumGuard:
         for call in calls:
             with pytest.raises(AssumptionViolated, match=r"^dominant eigenvalue 0\.5 "):
                 call()
+
+
+def test_calls_derive_nothing_the_spectrum_settled(monkeypatch):
+    # the rule, certificate_bound(n) and the end scale are settled when the
+    # spectrum is built: a verdict or rate evaluates no n-scaled bound and
+    # never checks the rule again, at any name that binds them
+    spec = eigendecompose_symmetric(make_ring(16, 0.1))
+    A = make_ring(16, 0.1)
+    counted = {
+        spectral.certificate_bound: "bound",
+        spectral._contract_bound: "bound",
+        spectral._dominance_fault: "rule",
+    }
+    calls = collections.Counter()
+
+    def counting(f):
+        def wrapper(*args):
+            calls[counted[f]] += 1
+            return f(*args)
+        return wrapper
+
+    bindings = 0
+    for name, module in list(sys.modules.items()):
+        if name == "consensuslab" or name.startswith("consensuslab."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in counted):
+                    monkeypatch.setattr(module, attr, counting(value))
+                    bindings += 1
+    assert bindings >= len(counted)
+    for gamma in np.linspace(0.02, 1.98, 100):
+        verdict = check_mla_convergence(spec, gamma)
+        if verdict.converges:
+            assert rho_ess_mla(spec, gamma) == verdict.limiting_eigenvalue_modulus
+            model_rate(spec, ModelParams.mla(gamma))
+        rho_ess_accelerated(spec, gamma)
+        model_rate(spec, ModelParams.accelerated(gamma / 2.0))
+        model_rate(spec, ModelParams.degroot())
+        rho_ess(spec)
+        optimal_gamma(spec)
+        optimal_beta(spec)
+        consensus_value(A, spec, np.zeros(16))
+    assert calls == {}
+    # the counters see construction, so zero above is not a missed binding
+    Spectrum(spec.eigenvalues)
+    assert calls["rule"] == 1 and calls["bound"] >= 1
 
 
 class TestModelRate:

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
@@ -29,9 +31,10 @@ from consensuslab import (
     rho_ess_accelerated,
     validate,
 )
-from consensuslab.spectral import Spectrum, certificate_bound
+from consensuslab.spectral import Spectrum, _contract_bound, certificate_bound
 from scalar_reference import (
     augmented_eigenvector,
+    dominance_error,
     map_eigenvalue,
     verify_augmented_eigenpair,
 )
@@ -157,6 +160,64 @@ class TestSpectrumContract:
         got = Spectrum(w)._floats
         assert [type(x) for x in got] == [float] * w.size
         assert [x.hex() for x in got] == [float(x).hex() for x in w]
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            # lambda_1 = 1 +- 1e-8, each +- 1 ulp
+            *(np.array([np.nextafter(one, toward), 0.5, -0.3])
+              for one in (1.0 + 1e-8, 1.0 - 1e-8) for toward in (0.0, one, 2.0)),
+            # lambda_2 = 1 - _contract_bound(n) +- 1 ulp
+            *(np.array([1.0, np.nextafter(1.0 - _contract_bound(n), toward),
+                        *np.linspace(0.5, -0.3, n - 2)])
+              for n in (4, 64) for toward in (0.0, 1.0 - _contract_bound(n), 2.0)),
+            # in float32, 1 - 1e-10 rounds to 1 and a second 1 would pass as simple
+            np.array([1, 1, 0.5, -0.3], dtype=np.float32),
+            np.array([1.0]),
+            np.array([1.0 + 2e-8]),
+            np.array([1.0, -1.0]),
+            np.array([1.0, 1.0]),
+            np.array([1.0 - 2e-8, 0.5]),
+        ],
+        ids=[*(f"lambda1-{i}" for i in range(6)), *(f"lambda2-{i}" for i in range(6)),
+             "float32", "n1", "n1-off", "n2-periodic", "n2-reducible", "n2-off"],
+    )
+    def test_rule_edges_raise_as_every_call_once_decided(self, w):
+        # the rule is settled when the spectrum is built; each analysis
+        # call still raises what checking it afresh would raise
+        spec = Spectrum(w)
+        n = w.size
+        calls = [
+            lambda: rho_ess(spec),
+            lambda: check_mla_convergence(spec, 0.5),
+            lambda: rho_ess_accelerated(spec, 1.2),
+        ]
+        if n > 1:  # no network of one agent passes validate
+            A = validate(np.full((n, n), 1.0 / n))
+            calls.append(lambda: consensus_value(A, spec, np.zeros(n)))
+        want = dominance_error(w)
+        for call in calls:
+            if want is None:
+                call()
+                continue
+            with pytest.raises(want[0]) as info:
+                call()
+            assert (type(info.value), str(info.value)) == want
+
+    def test_settled_facts_follow_the_eigenvalues(self, ring4_loops_spectrum):
+        def settled(spec):
+            return spec._floats, spec._simple, spec._bound, spec._scale
+
+        spec = ring4_loops_spectrum
+        w = np.array([1.0, 1.0, 0.2, -0.95])
+        replaced = dataclasses.replace(spec, eigenvalues=w)
+        assert settled(replaced) == settled(Spectrum(w))
+        assert settled(replaced) == (tuple(w.tolist()), False, certificate_bound(4), 1.0)
+        for s in (spec, replaced, Spectrum(np.array([1.0, 0.5, -2.0]))):
+            assert settled(pickle.loads(pickle.dumps(s))) == settled(s)
+        assert settled(spec) == (tuple(spec.eigenvalues.tolist()), True,
+                                 certificate_bound(4), abs(float(spec.eigenvalues[0])))
+        assert Spectrum(np.array([1.0, 0.5, -2.0]))._scale == 2.0
 
     def test_solver_output_is_not_copied(self, ring4_loops):
         vals = eigendecompose_symmetric(ring4_loops).eigenvalues
