@@ -37,7 +37,6 @@ takes them from it instead of deriving them again on each call.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,7 +50,7 @@ from .errors import (
     DimensionMismatch,
     NotConvergent,
 )
-from .net import WeightedAdjacency, require_symmetric
+from .net import WeightedAdjacency, _check_real, require_symmetric
 from .spectral import (
     Spectrum,
     _contract_bound,
@@ -178,22 +177,28 @@ _WALK_SCALE = 1.0 + 1e-6
 _WALK_FLOOR = 1e-150
 
 
-def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
-    """Raise BadParameter unless the kernels' b*b + |4c| stays finite at |lam|,
-    which also rejects a non-finite lam or param and a param that is not a
-    real number. |b| and |c| grow with |lambda|, so the largest |lambda|
-    of a spectrum or row decides for all."""
-    # the type test first: the ABC check alone costs up to about 1 us a call
-    if type(param) is not float and not isinstance(param, numbers.Real):
-        raise BadParameter(f"{name} must be a real number, got {param!r}")
-    try:
-        lam, param = abs(float(lam)), float(param)
-    except OverflowError:
-        raise BadParameter(f"{name} lies beyond the float range") from None
-    b, c = coefficients(lam, param)
-    if not math.isfinite(b * b + abs(4.0 * c)):
+def _check_roots(coefficients, lam, param, name: str) -> None:
+    """Raise BadParameter unless param is a real number (`_check_real`) and
+    the kernels' b*b + |4c| at lam = |lambda| is finite: taken in the type
+    of lam and param, as `_max_root_modulus` and the MLA criterion
+    2*gamma*lam_n take theirs, and read as a float, as `_larger_modulus`
+    reads the roots. |b| and |c| grow with |lambda|, so the largest
+    |lambda| of a spectrum or row decides for all."""
+    if type(param) is float and type(lam) is float:  # the verdicts' hot path
+        b, c = coefficients(lam, param)
+        finite = math.isfinite(b * b + abs(4.0 * c))
+    else:
+        _check_real(param, name)
+        try:  # numpy overflow, integer overflow included, raises here
+            with np.errstate(over="raise", invalid="raise"):
+                b, c = coefficients(lam, param)
+                finite = math.isfinite(b * b + abs(4.0 * c))
+        except (FloatingPointError, OverflowError):
+            finite = False
+    if not finite:
         raise BadParameter(
-            f"{name}={param!r} at |lambda| = {lam!r} gives non-finite root coefficients"
+            f"{name}={float(param)!r} at |lambda| = {float(lam)!r} "
+            "gives non-finite root coefficients"
         )
 
 
@@ -211,23 +216,27 @@ def lambda_hat_max(lam, gamma):
     """Larger modulus of the two MLA-induced eigenvalues (contour field).
 
     Elementwise over broadcast lam and gamma, numbers or array-likes; a
-    float for scalar input, an empty array when either is empty;
-    BadParameter when either is not real or they do not broadcast.
+    float for scalar input, an empty array when either is empty. A scalar
+    must be a real number (`net._check_real`) and, kept as given, sets the
+    roots' precision; an array must hold bool, integer or float values.
+    BadParameter otherwise, or when the two do not broadcast.
     """
-    # scalars stay as given, so a numpy scalar sets the roots' precision
+    args = []
     try:
-        lam, gamma = (x if np.isscalar(x) else np.asarray(x) for x in (lam, gamma))
-        if not {np.result_type(lam).kind, np.result_type(gamma).kind} <= set("biuf"):
-            raise TypeError("complex or object values")
-        lam_max, gamma_max = np.abs(lam).max(initial=0.0), np.abs(gamma).max(initial=0.0)
-    except (TypeError, ValueError) as e:
-        raise BadParameter(f"lam and gamma must be real numbers: {e}") from None
-    try:
-        np.broadcast_shapes(np.shape(lam), np.shape(gamma))
+        for x, name in ((lam, "lam"), (gamma, "gamma")):
+            a = np.asarray(x)  # a ragged sequence raises ValueError
+            if a.ndim == 0 and not isinstance(x, np.ndarray):
+                a = _check_real(x, name)
+            elif a.dtype.kind not in "biuf":
+                raise BadParameter(f"{name} must be real numbers, got {a.dtype} values")
+            args.append(a)
+        np.broadcast_shapes(*map(np.shape, args))
     except ValueError as e:
         raise BadParameter(f"lam and gamma do not broadcast: {e}") from None
-    _check_roots(_mla_coefficients, lam_max, gamma_max, "gamma")
-    out = _max_root_modulus(*_mla_coefficients(lam, gamma))
+    # the largest modulus of each, in its own type
+    tops = (abs(a).max(initial=0.0) if np.ndim(a) else abs(a) for a in args)
+    _check_roots(_mla_coefficients, *tops, "gamma")
+    out = _max_root_modulus(*_mla_coefficients(*args))
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,14 +14,13 @@ them through `_states`, one product with the weight matrix per step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .net import WeightedAdjacency, _real_array
+from .net import WeightedAdjacency, _check_real, _real_array
 
 
 class ModelKind(Enum):
@@ -36,10 +35,10 @@ class ModelParams:
 
     The kind must be a ModelKind, not its string value (BadParameter).
     The parameter is beta for the accelerated model and gamma for MLA;
-    DeGroot ignores it. It must be a finite real number (BadParameter),
-    kept as given, so a numpy scalar sets the precision of the roots. No
-    range is enforced here: whether a parameter value converges is
-    decided by the analysis operations.
+    DeGroot ignores it. It must be a finite real number (BadParameter, by
+    `net._check_real`), kept as given, so a numpy scalar sets the
+    precision of the roots. No range is enforced here: whether a
+    parameter value converges is decided by the analysis operations.
     """
 
     kind: ModelKind
@@ -48,11 +47,7 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.kind, ModelKind):
             raise BadParameter(f"model kind must be a ModelKind, got {self.kind!r}")
-        try:
-            finite = isinstance(self.param, numbers.Real) and math.isfinite(self.param)
-        except OverflowError:  # an integer or fraction past the float range
-            finite = False
-        if not finite:
+        if not math.isfinite(_check_real(self.param, "model parameter")):
             raise BadParameter(
                 f"model parameter must be a finite real number, got {self.param!r}"
             )

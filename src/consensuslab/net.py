@@ -10,7 +10,7 @@ constructors.
 
 from __future__ import annotations
 
-import numbers
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -62,6 +62,20 @@ def _check_int(value, name: str, least: int | None = None) -> int:
         raise BadParameter(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise BadParameter(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _check_real(value, name: str):
+    """value as given, so a numpy scalar keeps its precision; BadParameter
+    unless it is a bool, int or float, Python or numpy, that float() can
+    hold: the one rule for every real parameter (NaN and infinity pass)."""
+    if not isinstance(value, (int, float, np.bool_, np.integer, np.floating)):
+        raise BadParameter(f"{name} must be a real number, got {value!r}")
+    try:  # float() reads a longdouble past its range as infinite
+        if math.isinf(float(value)) and np.isfinite(value):
+            raise OverflowError
+    except OverflowError:
+        raise BadParameter(f"{name} lies beyond the float range") from None
     return value
 
 
@@ -267,7 +281,7 @@ def make_ring(n: int, self_loop: float = 0.0) -> WeightedAdjacency:
     periodic ring (bipartite for even n, hence never primitive there).
     """
     n = _check_int(n, "ring size n", 3)
-    if not (isinstance(self_loop, numbers.Real) and 0.0 <= self_loop < 1.0):
+    if not 0.0 <= _check_real(self_loop, "self_loop") < 1.0:
         raise BadParameter(f"self_loop must lie in [0, 1), got {self_loop!r}")
     off = (1.0 - self_loop) / 2.0
     I = np.eye(n)

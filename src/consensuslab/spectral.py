@@ -60,6 +60,10 @@ _EPS = float(np.finfo(float).eps)
 # a leading eigenvalue this far from 1 is not from a row-stochastic matrix
 # at all (a hand-built spectrum): an input guard, not a rounding bound
 _DOMINANT_ONE_TOL = 1e-8
+# each eigenvector's sign is set by its first entry above this: the solve
+# error certificate_bound(n) stays below it up to n of about 2.8e6, so an
+# entry that is zero but for rounding never sets the sign
+_SIGN_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +137,7 @@ def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    significant = np.abs(vecs) > 1e-8
+    significant = np.abs(vecs) > _SIGN_CUTOFF
     first = vecs[np.argmax(significant, axis=0), np.arange(A.n)]
     vecs[:, significant.any(axis=0) & (first < 0.0)] *= -1.0
     residual = float(np.max(np.abs(W @ vecs - vecs * vals)))

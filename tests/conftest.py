@@ -25,6 +25,17 @@ def build_corpus(count, base_seed=0, sizes=range(3, 9)):
     return out
 
 
+def bridged_cliques(bridge=1e-11):
+    """Two 3-cliques of weight 1/3 joined by one edge of weight `bridge`:
+    a connected network whose second eigenvalue is about 1 - 2 * bridge / 3,
+    so for a tiny bridge the distance to consensus barely decays."""
+    W = np.kron(np.eye(2), np.full((3, 3), 1.0 / 3.0))
+    W[2, 2] -= bridge
+    W[3, 3] -= bridge
+    W[2, 3] = W[3, 2] = bridge
+    return validate(W)
+
+
 def relabelled(W, rng):
     """W under a random node labelling drawn from rng."""
     perm = rng.permutation(W.shape[0])

@@ -680,3 +680,11 @@ def test_public_surface():
     for name in ("map_eigenvalue", "map_eigenvalue_accelerated", "MappedPair"):
         assert not hasattr(consensuslab, name)
         assert not hasattr(analysis, name)
+
+
+def test_improvement_search_skips_a_gamma_that_fails_the_criterion():
+    # at gamma = 1.1 the criterion 2*gamma*lam_n - lam_n + 1 is -0.08, so
+    # the search goes on to gamma = 1.01
+    spec = Spectrum(np.array([1.0, 0.95, -0.9]))
+    assert not check_mla_convergence(spec, 1.1).converges
+    assert improving_gamma_exists(spec) == (0.01, 0.9494946779900757)

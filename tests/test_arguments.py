@@ -1,10 +1,14 @@
 """Arguments of the wrong type raise BadParameter, not a raw numpy or
 Python error: integers are checked with operator.index (seeds may be
-negative), parameters with numbers.Real, and models, spectra and
-networks with isinstance."""
+negative), real parameters by one rule (a bool, int or float, Python or
+numpy, that float() can hold), and models, spectra and networks with
+isinstance."""
 
 import functools
 import os
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from consensuslab import (
     BadParameter,
     ModelKind,
     ModelParams,
+    NotConvergent,
     SimConfig,
     analyze_structure,
     check_mla_convergence,
@@ -20,6 +25,7 @@ from consensuslab import (
     eigendecompose_symmetric,
     fit_rate,
     improving_gamma_exists,
+    lambda_hat_max,
     make_ring,
     model_rate,
     optimal_beta,
@@ -28,6 +34,7 @@ from consensuslab import (
     read_matrix,
     rho_ess,
     rho_ess_accelerated,
+    rho_ess_mla,
     run_batch,
     simulate_trajectory,
     write_matrix,
@@ -167,3 +174,86 @@ def test_file_apis_leave_a_descriptor_open(f, tmp_path):
         os.fstat(fd)
     finally:
         os.close(fd)
+
+
+# every entry point that takes a real scalar, with the one rule applied to it
+SCALAR_ENTRY_POINTS = {
+    "check_mla_convergence": lambda v: check_mla_convergence(SPEC4, v),
+    "rho_ess_mla": lambda v: rho_ess_mla(SPEC4, v),
+    "rho_ess_accelerated": lambda v: rho_ess_accelerated(SPEC4, v),
+    "ModelParams.mla": ModelParams.mla,
+    "ModelParams.accelerated": ModelParams.accelerated,
+    "lambda_hat_max-lam": lambda v: lambda_hat_max(v, 0.5),
+    "lambda_hat_max-gamma": lambda v: lambda_hat_max(0.5, v),
+    "make_ring-self_loop": lambda v: make_ring(4, v),
+}
+REAL = {"2**64": 2**64, "2**65": 2**65, "True": True, "np.True_": np.True_,
+        "int64": np.int64(1), "uint64": np.uint64(1), "float16": np.float16(0.5),
+        "float32": np.float32(0.5), "longdouble": np.longdouble(0.5)}
+NOT_REAL = {"Fraction": Fraction(1, 2), "Decimal": Decimal("0.5"), "str": "0.5",
+            "None": None, "complex": 0.5j, "list": [0.5]}
+BEYOND_FLOATS = {"10**400": 10**400, "-10**400": -(10**400)}
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [
+        pytest.param(kind, value, id=name)
+        for kind, table in (("real", REAL), ("not real", NOT_REAL), ("beyond", BEYOND_FLOATS))
+        for name, value in table.items()
+    ],
+)
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_every_scalar_entry_point_applies_one_rule(entry, kind, value):
+    call = SCALAR_ENTRY_POINTS[entry]
+    if kind == "real":
+        try:
+            call(value)
+        except NotConvergent:  # a verdict on an accepted value
+            pass
+        except BadParameter as e:  # the ring keeps its own range check
+            assert entry == "make_ring-self_loop" and "must lie in [0, 1)" in str(e)
+    elif isinstance(value, list) and entry.startswith("lambda_hat_max"):
+        assert call(value).shape == (1,)  # the contour field reads a list as an array
+    elif kind == "not real":
+        with pytest.raises(BadParameter, match="must be a real number, got"):
+            call(value)
+    else:
+        with pytest.raises(BadParameter, match="lies beyond the float range$"):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # the criterion 2*gamma*lam_n overflows float16
+        lambda: check_mla_convergence(SPEC4, np.float16(40000.0)),
+        lambda: rho_ess_accelerated(SPEC4, np.float16(60000.0)),
+        # the contour kernel's b*b + |4c| overflows float16 and float32
+        lambda: lambda_hat_max(np.float16(0.9), np.float16(300.0)),
+        lambda: lambda_hat_max(0.5, np.float32(1e20)),
+        lambda: lambda_hat_max(np.array([0.5], dtype=np.float32), 1e20),
+        # numpy integers overflow, or cannot hold a Python int
+        lambda: lambda_hat_max(np.int64(100_000), np.int64(100_000)),
+        lambda: lambda_hat_max(2**64, np.int64(1)),
+        # a longdouble holds what float() cannot
+        lambda: check_mla_convergence(SPEC4, np.longdouble(1e300)),
+    ],
+    ids=["mla-float16", "accelerated-float16", "contour-float16", "contour-float32",
+         "contour-float32-array", "contour-int64", "contour-python-int", "mla-longdouble"],
+)
+def test_low_precision_parameters_raise_before_numpy_warns(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameter, match="gives non-finite root coefficients"):
+            call()
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).max <= np.finfo(float).max, reason="longdouble is a double"
+)
+def test_a_longdouble_past_the_float_range_is_beyond_it():
+    big = np.longdouble(10.0) ** 400
+    for entry in ("check_mla_convergence", "ModelParams.mla", "lambda_hat_max-lam"):
+        with pytest.raises(BadParameter, match="lies beyond the float range$"):
+            SCALAR_ENTRY_POINTS[entry](big)

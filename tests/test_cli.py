@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import consensuslab
-from conftest import relabelled_rings
+from conftest import bridged_cliques, relabelled_rings
 from consensuslab import (
     eigendecompose_symmetric,
     make_ring,
@@ -445,3 +445,62 @@ def test_console_entry_point_runs_as_a_process(
         assert done.stdout == capsys.readouterr().out.encode()
     else:
         assert done.stdout == b"" and not os.path.exists("o.csv")
+
+
+class TestErrorPaths:
+    def test_self_loop_needs_a_ring(self, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        write_matrix(make_ring(4, 0.1), p)
+        with pytest.raises(SystemExit) as ei:
+            main(["validate", "--input", str(p), "--self-loop", "0.1"])
+        assert ei.value.code == 2
+        assert "--self-loop only applies with --ring" in capsys.readouterr().err
+
+    def test_simulate_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        argv = ["simulate", "--ring", "4", "--self-loop", "0.1", "--model", "degroot",
+                "--steps", "5", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    def test_figure_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(["figure", "contour", "--out-dir", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write under {blocker}: ")
+
+
+class TestHumanVerdicts:
+    @pytest.mark.parametrize(
+        "gamma, line",
+        [
+            ("0.5", "gamma=0.5: convergent, rate 0.839352701843"),
+            ("1.9", "gamma=1.9: NOT convergent (gamma in (0,2): True, "
+                    "criterion value: -1.6311393382)"),
+        ],
+    )
+    def test_analyze_gamma_line(self, capsys, gamma, line):
+        assert main(["analyze", "--ring", "9", "--gamma", gamma]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
+    def test_too_few_steps_skip_the_fit(self, tmp_path, capsys):
+        argv = ["simulate", "--ring", "8", "--self-loop", "0.1", "--model", "mla",
+                "--param", "0.5", "--steps", "5", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "rate fit skipped: 5 usable points in the fit window, need 10"
+        )
+
+    def test_no_decay_skips_the_fit(self, tmp_path, capsys):
+        # the essential radius is 1 - 2e-11: over 60 steps the distance to
+        # consensus moves too little for its slope to be a rate
+        path = tmp_path / "bridge.txt"
+        write_matrix(bridged_cliques(), path)
+        argv = ["simulate", "--input", str(path), "--model", "accelerated",
+                "--param", "1.2", "--steps", "60", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("rate fit skipped: the fitted log distance moves by 1.64e-06")
+        assert last.endswith("no decay to fit")

@@ -434,3 +434,25 @@ class TestMatrixIO:
         p.write_text("2\n0.5 0.6\n0.5 0.5\n")
         with pytest.raises(RowSumViolation):
             read_matrix(p)
+
+
+class TestMatrixFileEdges:
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("2\n0.5 0.5\n0.5 0.5\n\n   \n")
+        assert read_matrix(p).weights.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+    def test_whitespace_only_file_is_empty(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("  \n\t\n ")
+        with pytest.raises(ParseError, match="^line 1: empty file$") as ei:
+            read_matrix(p)
+        assert ei.value.line == 1
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_size_must_be_positive(self, tmp_path, size):
+        p = tmp_path / "m.txt"
+        p.write_text(f"{size}\n0.5 0.5\n")
+        with pytest.raises(ParseError, match="^line 1: matrix size must be positive") as ei:
+            read_matrix(p)
+        assert ei.value.line == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from conftest import bridged_cliques
 from consensuslab import (
     AssumptionViolated,
     BadParameter,
@@ -455,3 +456,20 @@ class TestRandomNetworkGenerator:
     def test_rejects_tiny_n(self):
         with pytest.raises(BadParameter):
             random_symmetric_stochastic(1, 0)
+
+
+class TestFitWithoutDecay:
+    @pytest.mark.parametrize(
+        "model", [ModelParams.degroot(), ModelParams.accelerated(1.2), ModelParams.mla(0.5)]
+    )
+    def test_a_distance_that_barely_moves_has_no_rate(self, model):
+        x0 = [0.1, 0.9, 0.3, 0.5, 0.7, 0.2]
+        with pytest.raises(InsufficientData, match="no decay to fit$"):
+            fit_rate(bridged_cliques(), model, x0, 60)
+
+    def test_a_wider_bridge_decays_enough(self):
+        # radius 0.9934: the distance falls by about 0.36 in log over the window
+        A = bridged_cliques(0.01)
+        fit = fit_rate(A, ModelParams.degroot(), [0.1, 0.9, 0.3, 0.5, 0.7, 0.2], 60)
+        assert fit.window == (6, 60)
+        assert fit.fitted_rate == pytest.approx(rho_ess(eigendecompose_symmetric(A)), rel=1e-9)
