@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelParams, _check_model, _check_vector
+from .dynamics import ModelKind, ModelParams, _check_vector
 from .errors import (
     AssumptionViolated,
     BadParameter,
@@ -50,7 +50,7 @@ from .errors import (
     DimensionMismatch,
     NotConvergent,
 )
-from .net import WeightedAdjacency, _check_real, require_symmetric
+from .net import WeightedAdjacency, _check_real, _check_type, require_symmetric
 from .spectral import (
     Spectrum,
     _contract_bound,
@@ -178,12 +178,12 @@ _WALK_FLOOR = 1e-150
 
 
 def _check_roots(coefficients, lam, param, name: str) -> None:
-    """Raise BadParameter unless param is a real number (`_check_real`) and
-    the kernels' b*b + |4c| at lam = |lambda| is finite: taken in the type
-    of lam and param, as `_max_root_modulus` and the MLA criterion
-    2*gamma*lam_n take theirs, and read as a float, as `_larger_modulus`
-    reads the roots. |b| and |c| grow with |lambda|, so the largest
-    |lambda| of a spectrum or row decides for all."""
+    """Raise BadParameter unless param is a finite real number (worded by
+    `_check_real`) and the kernels' b*b + |4c| at lam = |lambda| is finite:
+    taken in the type of lam and param, as `_max_root_modulus` and the MLA
+    criterion 2*gamma*lam_n take theirs, and read as a float, as
+    `_larger_modulus` reads the roots. |b| and |c| grow with |lambda|, so
+    the largest |lambda| of a spectrum or row decides for all."""
     if type(param) is float and type(lam) is float:  # the verdicts' hot path
         b, c = coefficients(lam, param)
         finite = math.isfinite(b * b + abs(4.0 * c))
@@ -196,6 +196,7 @@ def _check_roots(coefficients, lam, param, name: str) -> None:
         except (FloatingPointError, OverflowError):
             finite = False
     if not finite:
+        _check_real(param, name, finite=True)
         raise BadParameter(
             f"{name}={float(param)!r} at |lambda| = {float(lam)!r} "
             "gives non-finite root coefficients"
@@ -345,7 +346,7 @@ def model_rate(spec: Spectrum, model: ModelParams) -> float:
     1, as lam = -1 maps to the root -1 for every beta) and
     DominantNotSimple on a reducible network, the identity included.
     """
-    _check_model(model)
+    _check_type(model, ModelParams, "model")
     if model.kind is ModelKind.MLA:
         return rho_ess_mla(spec, model.param)
     rate = rho_ess(spec)

@@ -217,35 +217,35 @@ def cmd_simulate(args, parser) -> int:
 
 
 def _figure_series(args):
+    """The network of fig2 or fig6 and the (label, SimConfig) of each series."""
     if args.name == "fig2":
-        A = net.make_ring(4, 0.0)
-        return A, [
-            ("degroot", ModelParams.degroot()),
-            ("accelerated", ModelParams.accelerated(1.2)),
-            ("mla", ModelParams.mla(0.5)),
-        ]
-    A = net.make_ring(4, 0.1)
-    spec = eigendecompose_symmetric(A)
-    gs = analysis.optimal_gamma(spec)
-    bs = analysis.optimal_beta(spec)
+        A, beta, gamma = net.make_ring(4, 0.0), 1.2, 0.5
+    else:
+        A = net.make_ring(4, 0.1)
+        spec = eigendecompose_symmetric(A)
+        beta = analysis.optimal_beta(spec).beta
+        gamma = analysis.optimal_gamma(spec).gamma
+    models = (
+        ModelParams.degroot(),
+        ModelParams.accelerated(beta),
+        ModelParams.mla(gamma),
+    )
     return A, [
-        ("degroot", ModelParams.degroot()),
-        ("accelerated", ModelParams.accelerated(bs.beta)),
-        ("mla", ModelParams.mla(gs.gamma)),
+        (m.kind.value, sim.SimConfig(m, args.steps, args.runs, args.seed))
+        for m in models
     ]
 
 
 def cmd_figure(args, parser) -> int:
     out_dir = args.out_dir
+    # the settings are checked before the output directory is made
+    series = None if args.name == "contour" else _figure_series(args)
     try:
         os.makedirs(out_dir, exist_ok=True)
         written = []
-        if args.name in ("fig2", "fig6"):
-            A, series = _figure_series(args)
-            for label, model in series:
-                cfg = sim.SimConfig(
-                    model=model, steps=args.steps, runs=args.runs, seed=args.seed
-                )
+        if series is not None:
+            A, configs = series
+            for label, cfg in configs:
                 path = os.path.join(out_dir, f"{args.name}_{label}.csv")
                 sim.run_batch(A, cfg).write_csv(path)
                 written.append(path)

@@ -13,14 +13,13 @@ them through `_states`, one product with the weight matrix per step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .net import WeightedAdjacency, _check_real, _real_array
+from .net import WeightedAdjacency, _check_real, _check_type, _real_array
 
 
 class ModelKind(Enum):
@@ -45,12 +44,8 @@ class ModelParams:
     param: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, ModelKind):
-            raise BadParameter(f"model kind must be a ModelKind, got {self.kind!r}")
-        if not math.isfinite(_check_real(self.param, "model parameter")):
-            raise BadParameter(
-                f"model parameter must be a finite real number, got {self.param!r}"
-            )
+        _check_type(self.kind, ModelKind, "model kind")
+        _check_real(self.param, "model parameter", finite=True)
 
     @classmethod
     def degroot(cls) -> "ModelParams":
@@ -63,12 +58,6 @@ class ModelParams:
     @classmethod
     def mla(cls, gamma: float) -> "ModelParams":
         return cls(ModelKind.MLA, gamma)
-
-
-def _check_model(model) -> None:
-    """BadParameter unless model is a ModelParams."""
-    if not isinstance(model, ModelParams):
-        raise BadParameter(f"model must be a ModelParams, got {model!r}")
 
 
 def _check_vector(A: WeightedAdjacency, x, name: str) -> np.ndarray:

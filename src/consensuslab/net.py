@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,50 +54,53 @@ class StructureReport:
     witness_k: int | None = None
 
 
+_shown = reprlib.Repr()  # shows a value in a message, cut to about 80 chars
+_shown.maxstring = _shown.maxother = 80
+_show = _shown.repr
+
+
+def _check_type(value, types, name: str, kind: str | None = None) -> None:
+    """BadParameter("<name> must be a <kind>, got <type of value>") unless
+    value is an instance of types; kind defaults to the class name. The one
+    wording of every argument of the wrong type."""
+    if not isinstance(value, types):
+        kind = kind or types.__name__
+        raise BadParameter(f"{name} must be a {kind}, got {type(value).__name__}")
+
+
 def _check_int(value, name: str, least: int | None = None) -> int:
     """value as an int; BadParameter unless it is an integer (np.int64
     too, not a float) of at least `least`."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
+        raise BadParameter(f"{name} must be an integer, got {_show(value)}") from None
     if least is not None and value < least:
-        raise BadParameter(f"{name} must be >= {least}, got {value}")
+        raise BadParameter(f"{name} must be >= {least}, got {_show(value)}")
     return value
 
 
-def _check_real(value, name: str):
+def _check_real(value, name: str, finite: bool = False):
     """value as given, so a numpy scalar keeps its precision; BadParameter
     unless it is a bool, int or float, Python or numpy, that float() can
-    hold: the one rule for every real parameter (NaN and infinity pass)."""
+    hold: the one rule for every real parameter. NaN and infinity pass
+    unless `finite`, which words the one message for them."""
     if not isinstance(value, (int, float, np.bool_, np.integer, np.floating)):
-        raise BadParameter(f"{name} must be a real number, got {value!r}")
+        raise BadParameter(f"{name} must be a real number, got {_show(value)}")
     try:  # float() reads a longdouble past its range as infinite
         if math.isinf(float(value)) and np.isfinite(value):
             raise OverflowError
     except OverflowError:
         raise BadParameter(f"{name} lies beyond the float range") from None
+    if finite and not math.isfinite(value):
+        raise BadParameter(f"{name}={float(value)!r} must be a finite real number")
     return value
 
 
-def _check_network(A) -> None:
-    """BadParameter unless A is a WeightedAdjacency, as `validate` returns."""
-    if not isinstance(A, WeightedAdjacency):
-        raise BadParameter(
-            f"network must be a WeightedAdjacency, got {type(A).__name__}"
-        )
-
-
 def _check_path(path) -> None:
-    """BadParameter unless path names a file: a str, bytes or os.PathLike.
-
-    open() would also take an int (a bool too) as a file descriptor, and
-    close it: the caller's descriptor, or the process's stdout for 1.
-    """
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise BadParameter(
-            f"path must be a str, bytes or os.PathLike, got {type(path).__name__}"
-        )
+    # open() would also take an int (a bool too) as a file descriptor, and
+    # close it: the caller's descriptor, or the process's stdout for 1
+    _check_type(path, (str, bytes, os.PathLike), "path", "str, bytes or os.PathLike")
 
 
 def _real_array(x, what: str) -> np.ndarray:
@@ -161,7 +165,7 @@ def require_symmetric(A: WeightedAdjacency) -> None:
     the eigensolver and the results that take the initial mean as the
     consensus value rely on it. BadParameter when A is not a network.
     """
-    _check_network(A)
+    _check_type(A, WeightedAdjacency, "network")
     asym = _asymmetry(A.weights)
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"matrix is asymmetric by {asym:.3e}")
@@ -248,7 +252,7 @@ def analyze_structure(A: WeightedAdjacency) -> StructureReport:
       by repeated squaring of the 0/1 pattern in float32 and a binary
       search back down, O(n^3 log n) against the sharp bound (n-1)^2 + 1.
     """
-    _check_network(A)
+    _check_type(A, WeightedAdjacency, "network")
     W = A.weights
     symmetric = _asymmetry(W) <= SYMMETRY_TOL
 
@@ -282,7 +286,7 @@ def make_ring(n: int, self_loop: float = 0.0) -> WeightedAdjacency:
     """
     n = _check_int(n, "ring size n", 3)
     if not 0.0 <= _check_real(self_loop, "self_loop") < 1.0:
-        raise BadParameter(f"self_loop must lie in [0, 1), got {self_loop!r}")
+        raise BadParameter(f"self_loop must lie in [0, 1), got {_show(self_loop)}")
     off = (1.0 - self_loop) / 2.0
     I = np.eye(n)
     W = off * (np.roll(I, 1, axis=1) + np.roll(I, -1, axis=1))
@@ -296,7 +300,7 @@ def write_matrix(A: WeightedAdjacency, path) -> None:
     Values are printed with 17 significant digits so a read-back is
     value-exact.
     """
-    _check_network(A)
+    _check_type(A, WeightedAdjacency, "network")
     _check_path(path)
     with open(path, "w") as fh:
         fh.write(f"{A.n}\n")
@@ -327,7 +331,8 @@ def read_matrix(path) -> WeightedAdjacency:
     try:
         n = int(lines[0].strip())
     except ValueError:
-        raise ParseError(1, f"expected the matrix size, got {lines[0]!r}") from None
+        got = _show(lines[0])
+        raise ParseError(1, f"expected the matrix size, got {got}") from None
     if n < 1:
         raise ParseError(1, f"matrix size must be positive, got {n}")
     if len(lines) - 1 != n:

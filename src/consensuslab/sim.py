@@ -20,14 +20,14 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import ModelParams, _check_model, _check_vector, _states
-from .errors import BadParameter, InsufficientData, NormalizationFailed, NotConvergent
+from .dynamics import ModelParams, _check_vector, _states
+from .errors import InsufficientData, NormalizationFailed, NotConvergent
 from .net import (
     ROW_SUM_TOL,
     WeightedAdjacency,
     _check_int,
-    _check_network,
     _check_path,
+    _check_type,
     require_symmetric,
     validate,
 )
@@ -72,7 +72,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        _check_model(self.model)
+        _check_type(self.model, ModelParams, "model")
         _check_int(self.steps, "steps", 1)
         _check_int(self.runs, "runs", 1)
         # kept as a Python int: an np.int64 seed overflows the key's mask
@@ -117,9 +117,8 @@ def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
     start from x(-1) = x(0). Raises NotConvergent at the first step whose
     envelope is not finite, without floating-point warnings.
     """
-    _check_network(A)
-    if not isinstance(cfg, SimConfig):
-        raise BadParameter(f"cfg must be a SimConfig, got {type(cfg).__name__}")
+    _check_type(A, WeightedAdjacency, "network")
+    _check_type(cfg, SimConfig, "cfg")
     X0 = np.array([_initial_state(cfg.seed, i, A.n) for i in range(cfg.runs)])
     env_max, env_min = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,8 +146,8 @@ def simulate_trajectory(
     at the first state that is not finite, without floating-point
     warnings.
     """
-    _check_network(A)
-    _check_model(model)
+    _check_type(A, WeightedAdjacency, "network")
+    _check_type(model, ModelParams, "model")
     x0 = _check_vector(A, x0, "x0")
     _check_int(steps, "steps", 0)
     out = np.empty((steps + 1, A.n))

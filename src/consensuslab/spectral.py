@@ -22,8 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolated, BadParameter, BadSpectrum, DominantNotSimple
-from .net import ROW_SUM_TOL, SYMMETRY_TOL, WeightedAdjacency, require_symmetric
+from .errors import AssumptionViolated, BadSpectrum, DominantNotSimple
+from .net import (
+    ROW_SUM_TOL,
+    SYMMETRY_TOL,
+    WeightedAdjacency,
+    _check_type,
+    require_symmetric,
+)
 
 
 def certificate_bound(n: int) -> float:
@@ -203,6 +209,6 @@ def _require_simple_dominant(spec: Spectrum) -> None:
     built, so a spectrum that meets the rule returns at once.
     """
     if not isinstance(spec, Spectrum):
-        raise BadParameter(f"spectrum must be a Spectrum, got {type(spec).__name__}")
+        _check_type(spec, Spectrum, "spectrum")  # only to word the error
     if not spec._simple:
         raise _dominance_fault(spec._floats)

@@ -18,9 +18,10 @@ with one loop step per pair, which the bulk draw reproduces bit for bit.
 And the breadth-first search with a queue and one edge test per pair,
 whose levels the bitset search in `consensuslab.net` reproduces.
 And the exact distance to consensus read off a solved spectrum, which a
-simulated trajectory must follow to rounding. And the simple-dominant
-rule checked afresh on every call, which a `Spectrum` now settles once
-when it is built.
+simulated trajectory must follow to rounding, and the largest gain of
+that error over the non-dominant eigenvalues, which bounds a batch's
+envelope. And the simple-dominant rule checked afresh on every call,
+which a `Spectrum` now settles once when it is built.
 """
 
 from __future__ import annotations
@@ -279,24 +280,18 @@ def roots_in_unit_disk_via_halfplane(a: complex, b: complex) -> bool:
     return s1.real < 0.0 and s2.real < 0.0
 
 
-def distance_sequence(spec, model, x0, steps: int) -> np.ndarray:
-    """||e(k)|| for k = 0..steps from the spectrum alone, e(k) = x(k) - mean(x0).
+def polynomials(lam, model, steps: int):
+    """Yield p_k(lam) for k = 0..steps, elementwise over the array lam.
 
-    With eigenpairs (lam_i, v_i) of a symmetric W and c = V^T e(0), each
-    model's error is e(k) = V p_k(Lambda) c, so ||e(k)|| = ||p_k(Lambda) c||.
-    The scalar recurrence starts at p_{-1} = p_0 = 1, as the simulators
-    start from x(-1) = x(0): p_{k+1} = lam p_k (DeGroot), beta lam p_k +
-    (1 - beta) p_{k-1} (accelerated), gamma lam p_k + (1 - gamma) lam
-    p_{k-1} (MLA).
+    The scalar recurrence of each model starts at p_{-1} = p_0 = 1, as the
+    simulators start from x(-1) = x(0): p_{k+1} = lam p_k (DeGroot), beta
+    lam p_k + (1 - beta) p_{k-1} (accelerated), gamma lam p_k + (1 - gamma)
+    lam p_{k-1} (MLA).
     """
-    lam = spec.eigenvalues
-    x0 = np.asarray(x0, dtype=float)
-    c = spec.eigenvectors.T @ (x0 - x0.mean())
     kind, param = model.kind, model.param
     p_prev = p = np.ones_like(lam)
-    out = np.empty(steps + 1)
-    out[0] = np.linalg.norm(c)
-    for k in range(1, steps + 1):
+    yield p
+    for _ in range(steps):
         if kind is ModelKind.DEGROOT:
             p_next = lam * p
         elif kind is ModelKind.ACCELERATED:
@@ -304,8 +299,30 @@ def distance_sequence(spec, model, x0, steps: int) -> np.ndarray:
         else:
             p_next = param * lam * p + (1.0 - param) * lam * p_prev
         p_prev, p = p, p_next
-        out[k] = np.linalg.norm(p * c)
-    return out
+        yield p
+
+
+def distance_sequence(spec, model, x0, steps: int) -> np.ndarray:
+    """||e(k)|| for k = 0..steps from the spectrum alone, e(k) = x(k) - mean(x0).
+
+    With eigenpairs (lam_i, v_i) of a symmetric W and c = V^T e(0), each
+    model's error is e(k) = V p_k(Lambda) c, so ||e(k)|| = ||p_k(Lambda) c||
+    with p_k from `polynomials`.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    c = spec.eigenvectors.T @ (x0 - x0.mean())
+    pk = polynomials(spec.eigenvalues, model, steps)
+    return np.array([np.linalg.norm(p * c) for p in pk])
+
+
+def error_gain(spec, model, steps: int) -> np.ndarray:
+    """g_k = max over i >= 2 of |p_k(lambda_i)| for k = 0..steps.
+
+    e(0) of a symmetric W is orthogonal to the dominant eigenvector, so
+    ||e(k)|| = ||p_k(Lambda) c|| <= g_k ||e(0)|| for every initial state.
+    """
+    pk = polynomials(spec.eigenvalues[1:], model, steps)
+    return np.array([np.abs(p).max() for p in pk])
 
 
 def make_ring(n: int, self_loop: float = 0.0):

@@ -2,10 +2,12 @@
 Python error: integers are checked with operator.index (seeds may be
 negative), real parameters by one rule (a bool, int or float, Python or
 numpy, that float() can hold), and models, spectra and networks with
-isinstance."""
+isinstance, named by their type. A NaN or infinite parameter gets one
+message, and no message grows with the argument it shows."""
 
 import functools
 import os
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -39,6 +41,7 @@ from consensuslab import (
     simulate_trajectory,
     write_matrix,
 )
+from consensuslab.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +260,73 @@ def test_a_longdouble_past_the_float_range_is_beyond_it():
     for entry in ("check_mla_convergence", "ModelParams.mla", "lambda_hat_max-lam"):
         with pytest.raises(BadParameter, match="lies beyond the float range$"):
             SCALAR_ENTRY_POINTS[entry](big)
+
+
+# every entry point that takes gamma or beta, reached with a NaN or infinity
+FINITE_ENTRY_POINTS = {
+    **{name: SCALAR_ENTRY_POINTS[name] for name in (
+        "check_mla_convergence", "rho_ess_mla", "rho_ess_accelerated",
+        "ModelParams.mla", "ModelParams.accelerated", "lambda_hat_max-gamma")},
+    "ModelParams": lambda v: ModelParams(ModelKind.MLA, v),
+    "model_rate-mla": lambda v: model_rate(SPEC4, ModelParams.mla(v)),
+    "model_rate-accelerated": lambda v: model_rate(SPEC4, ModelParams.accelerated(v)),
+}
+NOT_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
+              "float32-inf": np.float32("inf"), "float64-nan": np.float64("nan")}
+
+
+@pytest.mark.parametrize("value", NOT_FINITE.values(), ids=NOT_FINITE)
+@pytest.mark.parametrize("entry", FINITE_ENTRY_POINTS)
+def test_a_parameter_that_is_not_finite_gets_one_message(entry, value):
+    message = r"=-?(nan|inf) must be a finite real number$"
+    with pytest.raises(BadParameter, match=message):
+        FINITE_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_the_command_line_says_a_gamma_is_not_finite(gamma, capsys):
+    assert main(["analyze", "--ring", "8", "--gamma", gamma]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: gamma={gamma} must be a finite real number\n"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModelParams("mla", 0.5), "model kind must be a ModelKind, got str"),
+        (lambda: SimConfig("mla", 3, 2, 0), "model must be a ModelParams, got str"),
+        (lambda: simulate_trajectory(A4, None, X4, 3),
+         "model must be a ModelParams, got NoneType"),
+        (lambda: model_rate(SPEC4, 0.5), "model must be a ModelParams, got float"),
+        (lambda: rho_ess(W), "spectrum must be a Spectrum, got ndarray"),
+        (lambda: analyze_structure(np.eye(4)),
+         "network must be a WeightedAdjacency, got ndarray"),
+        (lambda: run_batch(A4, MLA), "cfg must be a SimConfig, got ModelParams"),
+        (lambda: read_matrix(None),
+         "path must be a str, bytes or os.PathLike, got NoneType"),
+    ],
+)
+def test_a_wrong_type_is_named_not_shown(call, message):
+    with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ModelParams("x" * 10**6),
+        lambda: ModelParams.mla([0.5] * 10**5),
+        lambda: check_mla_convergence(SPEC4, ["x"] * 10**5),
+        lambda: SimConfig(model=MLA, steps=10, runs=[1] * 10**5, seed=0),
+        lambda: SimConfig(model=MLA, steps=-(10**1000), runs=1, seed=0),
+        lambda: simulate_trajectory(A4, [0] * 10**5, X4, 3),
+        lambda: model_rate(SPEC4, [0] * 10**5),
+        lambda: make_ring(4, 10**300),
+    ],
+    ids=["kind", "gamma-list", "gamma-strs", "runs-list", "steps-int", "model-list",
+         "rate-model-list", "self_loop-int"],
+)
+def test_a_long_argument_is_cut_short(call):
+    with pytest.raises(BadParameter) as ei:
+        call()
+    assert len(str(ei.value)) <= 200

@@ -81,6 +81,14 @@ class TestValidateCommand:
         assert out == ""
         assert err == "error: line 3: byte 11 is not UTF-8 text\n"
 
+    def test_a_long_first_line_is_cut_short(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(["0.1"] * 10**6) + "\n")
+        assert main(["validate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: expected the matrix size, got '0.1 0.1")
+        assert len(err.encode()) <= 200
+
     def test_input_and_ring_are_exclusive(self, tmp_path):
         p = tmp_path / "m.txt"
         write_matrix(make_ring(4, 0.0), p)
@@ -370,6 +378,15 @@ class TestFigureCommand:
             assert -1.0 <= lam <= 1.0
             D = g * g * lam * lam - 4.0 * (g - 1.0) * lam
             assert abs(D) <= 1e-9
+
+    @pytest.mark.parametrize("setting", [["--runs", "0"], ["--steps", "0"]])
+    @pytest.mark.parametrize("name", ["fig2", "fig6"])
+    def test_bad_settings_make_no_directory(self, tmp_path, capsys, name, setting):
+        out_dir = tmp_path / "out"
+        assert main(["figure", name, *setting, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {setting[0][2:]} must be >= 1")
+        assert not out_dir.exists()
 
 
 class TestPeriodicRingVerdicts:

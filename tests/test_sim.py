@@ -12,6 +12,7 @@ from consensuslab import (
     DimensionMismatch,
     InsufficientData,
     ModelParams,
+    NormalizationFailed,
     NotConvergent,
     NotSymmetric,
     SimConfig,
@@ -31,6 +32,7 @@ from consensuslab import (
     simulate_trajectory,
     validate,
 )
+from consensuslab import sim
 from consensuslab.spectral import certificate_bound
 
 
@@ -312,6 +314,38 @@ class TestExactDistance:
             assert np.all(np.abs(got - want) <= bound), model
 
 
+class TestBatchEnvelopeBound:
+    """Every run's deviation from its mean is at most g_k ||e_r(0)||, where
+    g_k = max over i >= 2 of |p_k(lambda_i)| (`ref.error_gain`), plus the
+    rounding of the solve and of k steps."""
+
+    @pytest.mark.parametrize("steps, runs", [(2000, 100), (200, 2000)])
+    @pytest.mark.parametrize(
+        "A",
+        [make_ring(8), make_ring(16, 0.1), random_symmetric_stochastic(16, 5)],
+        ids=["ring8", "ring16_loops", "random16"],
+    )
+    def test_envelope_within_the_spectral_gain(self, A, steps, runs):
+        spec = eigendecompose_symmetric(A)
+        seed = 11
+        E = max(
+            np.linalg.norm(x - x.mean())
+            for x in (sim._initial_state(seed, r, A.n) for r in range(runs))
+        )
+        k = np.arange(steps + 1)
+        rounding = certificate_bound(A.n) * (k + 1) * E
+        # the paper's periodic case is MLA on the pure even ring
+        for model in (
+            ModelParams.degroot(),
+            ModelParams.accelerated(1.2),
+            ModelParams.mla(0.5),
+        ):
+            summary = run_batch(A, SimConfig(model, steps, runs, seed))
+            spread = np.maximum(summary.env_max, -summary.env_min)
+            bound = ref.error_gain(spec, model, steps) * E + rounding
+            assert np.all(spread <= bound), model
+
+
 class TestFitRate:
     def test_mla_rate_at_optimum_within_five_percent(self, ring4_loops):
         spec = eigendecompose_symmetric(ring4_loops)
@@ -456,6 +490,15 @@ class TestRandomNetworkGenerator:
     def test_rejects_tiny_n(self):
         with pytest.raises(BadParameter):
             random_symmetric_stochastic(1, 0)
+
+    def test_a_stalled_scaling_raises_normalization_failed(self, monkeypatch):
+        # one sweep leaves the drawn rows far from summing to 1
+        monkeypatch.setattr(sim, "_SCALING_SWEEPS", 1)
+        with pytest.raises(NormalizationFailed) as ei:
+            random_symmetric_stochastic(8, 0)
+        residual = ei.value.residual
+        assert residual > sim._SCALING_TOL
+        assert str(ei.value) == f"row-sum residual {residual:.3e} at iteration cap"
 
 
 class TestFitWithoutDecay:
