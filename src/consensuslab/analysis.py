@@ -96,13 +96,12 @@ _CANCELLATION_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 
 def _root_pair(b: float, c: float) -> tuple[float | complex, float | complex]:
-    """Roots (plus, minus) of z^2 - b z + c = 0.
+    """Roots (plus, minus) of z^2 - b z + c = 0, for Python floats b and c.
 
     The stable recipe: a real pair takes its larger-magnitude root from the
     formula, the other from the product c. A real or double pair comes back
     as Python floats; only a conjugate pair builds complex numbers.
     """
-    b, c = float(b), float(c)
     bb = b * b
     c4 = 4.0 * c
     disc = bb - c4
@@ -142,10 +141,9 @@ def _max_root_modulus(b, c):
 
 
 def _larger_modulus(b: float, c: float) -> float:
-    """Larger root modulus of z^2 - b z + c = 0 in Python floats: bit for bit
-    `_root_pair`'s by the identities of `_max_root_modulus`. Only a conjugate
-    pair builds a complex, as its abs() may round apart from math.hypot."""
-    b, c = float(b), float(c)
+    """Larger root modulus of z^2 - b z + c = 0 for Python floats b and c:
+    bit for bit `_root_pair`'s by the identities of `_max_root_modulus`. Only a
+    conjugate pair builds a complex, as its abs() may round apart from math.hypot."""
     bb = b * b
     c4 = 4.0 * c
     disc = bb - c4
@@ -155,7 +153,8 @@ def _larger_modulus(b: float, c: float) -> float:
         return abs(complex(b / 2.0, math.sqrt(-disc) / 2.0))
     # sqrt(disc) > 0 here, so big > 0
     big = (abs(b) + math.sqrt(disc)) / 2.0
-    return max(big, abs(c) / big)
+    small = abs(c) / big  # max()'s bits: neither is NaN, and a tie gives big
+    return small if small > big else big
 
 
 # Reading the rate off the spectrum's ends. For fixed parameters the exact
@@ -182,7 +181,7 @@ def _check_roots(coefficients, lam, param, name: str) -> None:
     `_check_real`) and the kernels' b*b + |4c| at lam = |lambda| is finite:
     taken in the type of lam and param, as `_max_root_modulus` and the MLA
     criterion 2*gamma*lam_n take theirs, and read as a float, as
-    `_larger_modulus` reads the roots. |b| and |c| grow with |lambda|, so
+    `_limiting_modulus` reads the roots. |b| and |c| grow with |lambda|, so
     the largest |lambda| of a spectrum or row decides for all."""
     if type(param) is float and type(lam) is float:  # the verdicts' hot path
         b, c = coefficients(lam, param)
@@ -252,12 +251,19 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     lambda_2 side while its last modulus may still round up to the
     running maximum (see _WALK_SCALE), then the same walk from the
     lambda_n side, never past where the first stopped. The result is the
-    maximum over the whole spectrum, bit for bit. A numpy scalar
-    parameter sets the precision of the root sums and products. The
-    overflow check reads the end scale the spectrum settled when built.
+    maximum over the whole spectrum, bit for bit. Any parameter but a Python
+    float sets the precision of each read's root sum and product, which are
+    then converted to floats. The overflow check reads the spectrum's end scale.
     """
     _require_simple_dominant(spec)
     _check_roots(coefficients, spec._scale, param, name)
+    if type(param) is not float:  # the type split `_check_roots` makes
+        in_own_type = coefficients
+
+        def coefficients(lam, param):  # the reads take Python floats
+            b, c = in_own_type(lam, param)
+            return float(b), float(c)
+
     w = spec._floats
     n = len(w)
     b, c = coefficients(w[0], param)

@@ -47,6 +47,14 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _cannot(verb: str, path: str, e: OSError) -> str:
+    """'cannot <verb> <path>: <reason>', the path's middle cut out past 200
+    characters, as an OSError's own text would repeat it whole."""
+    if len(path) > 200:
+        path = f"{path[:98]}...{path[-99:]}"
+    return f"cannot {verb} {path}: {e.strerror or e}"
+
+
 def _load(args, parser: argparse.ArgumentParser) -> net.WeightedAdjacency:
     if args.ring is not None:
         return net.make_ring(args.ring, args.self_loop or 0.0)
@@ -55,7 +63,7 @@ def _load(args, parser: argparse.ArgumentParser) -> net.WeightedAdjacency:
     try:
         return net.read_matrix(args.input)
     except OSError as e:
-        raise BadParameter(f"cannot read {args.input}: {e.strerror or e}") from None
+        raise BadParameter(_cannot("read", args.input, e)) from None
 
 
 def _flag(v: bool) -> str:
@@ -186,7 +194,7 @@ def cmd_simulate(args, parser) -> int:
     try:
         summary.write_csv(args.out)
     except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        print(f"error: {_cannot('write', args.out, e)}", file=sys.stderr)
         return 1
     width0 = summary.env_max[0] - summary.env_min[0]
     width_end = summary.env_max[-1] - summary.env_min[-1]
@@ -278,7 +286,7 @@ def cmd_figure(args, parser) -> int:
                             fh.write(f"curve,{g:.17g},{lam:.17g}\n")
             written.append(locus_path)
     except OSError as e:
-        print(f"error: cannot write under {out_dir}: {e}", file=sys.stderr)
+        print(f"error: {_cannot('write under', out_dir, e)}", file=sys.stderr)
         return 1
     for path in written:
         print(f"wrote {path}")

@@ -56,6 +56,10 @@ class StructureReport:
 
 _shown = reprlib.Repr()  # shows a value in a message, cut to about 80 chars
 _shown.maxstring = _shown.maxother = 80
+# an int past 128 bits (40 chars) shows by its bit count: str() refuses 4,301 digits
+_shown.repr_int = lambda x, level: (
+    repr(x) if x.bit_length() <= 128 else f"{'-' * (x < 0)}<{x.bit_length()}-bit int>"
+)
 _show = _shown.repr
 
 
@@ -111,7 +115,8 @@ def _real_array(x, what: str) -> np.ndarray:
     inside a list, is rejected rather than cast with its imaginary parts
     dropped, and so are datetime64 and timedelta64, which would cast to
     integer counts; numeric strings convert as float() reads them and None
-    reads as NaN. A float input is copied once, then cast without a copy.
+    reads as NaN. The first entry that does not convert is named. A float
+    input is copied once, then cast without a copy.
     """
     try:
         x = np.array(x)
@@ -119,6 +124,17 @@ def _real_array(x, what: str) -> np.ndarray:
             raise TypeError(f"{x.dtype} values")
         return x.astype(float, copy=False)
     except (TypeError, ValueError) as e:
+        if isinstance(x, np.ndarray) and x.dtype.kind in "OSU":  # the cast failed
+            # bisect for the first entry that fails, casting n entries in all
+            flat, lo, hi = x.reshape(-1), 0, x.size
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    flat[lo:mid].astype(float)
+                    lo = mid
+                except (TypeError, ValueError):
+                    hi = mid
+            e = f"{_show(flat.item(lo))} does not convert"
         raise BadParameter(f"{what} of real numbers: {e}") from None
 
 
@@ -334,10 +350,10 @@ def read_matrix(path) -> WeightedAdjacency:
         got = _show(lines[0])
         raise ParseError(1, f"expected the matrix size, got {got}") from None
     if n < 1:
-        raise ParseError(1, f"matrix size must be positive, got {n}")
+        raise ParseError(1, f"matrix size must be positive, got {_show(n)}")
     if len(lines) - 1 != n:
         raise ParseError(
-            len(lines), f"expected {n} rows, found {len(lines) - 1}"
+            len(lines), f"expected {_show(n)} rows, found {len(lines) - 1}"
         )
     # a row is converted once it holds n tokens: memory stays O(file size)
     rows = []

@@ -39,6 +39,7 @@ from consensuslab import (
     rho_ess_mla,
     run_batch,
     simulate_trajectory,
+    validate,
     write_matrix,
 )
 from consensuslab.cli import main
@@ -330,3 +331,56 @@ def test_a_long_argument_is_cut_short(call):
     with pytest.raises(BadParameter) as ei:
         call()
     assert len(str(ei.value)) <= 200
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_ring(-(10**5000)), "ring size n must be >= 3, got -<16610-bit int>"),
+        (lambda: SimConfig(MLA, -(10**5000), 1, 0),
+         "steps must be >= 1, got -<16610-bit int>"),
+        (lambda: make_ring(1 - 2**128), f"ring size n must be >= 3, got {1 - 2**128}"),
+        (lambda: make_ring(-(2**128)), "ring size n must be >= 3, got -<129-bit int>"),
+    ],
+    ids=["ring-size", "steps", "128-bit", "129-bit"],
+)
+def test_an_int_too_long_to_print_is_shown_by_its_size(call, message):
+    # str() of an int of more than 4,300 digits raises ValueError, so an
+    # int past 128 bits is shown by its bit count without converting it
+    with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, prefix",
+    [
+        (lambda: validate([["x" * 10**6, 1], [1, 0]]),
+         "weights must be a matrix of real numbers: 'xxx"),
+        (lambda: simulate_trajectory(A4, MLA, ["x" * 10**6] * 4, 3),
+         "x0 must be a vector of real numbers: 'xxx"),
+        (lambda: validate([[0.5, None], [b"0.5", {"a": 1}]]),
+         "weights must be a matrix of real numbers: {'a': 1} does not convert"),
+    ],
+    ids=["validate", "x0", "object"],
+)
+def test_an_entry_that_does_not_convert_is_named_short(call, prefix):
+    with pytest.raises(BadParameter) as ei:
+        call()
+    assert str(ei.value).startswith(prefix)
+    assert str(ei.value).endswith(" does not convert")
+    assert len(str(ei.value)) <= 300
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([[1, 0], [1]], "setting an array element with a sequence"),
+        (np.array([[0.5 + 0j, 0.5], [0.5, 0.5]]), "complex128 values"),
+        (np.array([[0, 1], [1, 0]], dtype="datetime64[s]"), "datetime64[s] values"),
+    ],
+    ids=["ragged", "complex", "datetime"],
+)
+def test_a_matrix_that_is_not_real_keeps_numpys_words(weights, message):
+    prefix = "weights must be a matrix of real numbers: "
+    with pytest.raises(BadParameter, match=f"^{re.escape(prefix + message)}"):
+        validate(weights)

@@ -89,6 +89,13 @@ class TestValidateCommand:
         assert err.startswith("error: line 1: expected the matrix size, got '0.1 0.1")
         assert len(err.encode()) <= 200
 
+    def test_a_long_path_is_cut_short(self, tmp_path, capsys):
+        path = str(tmp_path / ("x" * 100_000))
+        assert main(["validate", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path[:98]}...xxx")
+        assert len(err.encode()) <= 300
+
     def test_input_and_ring_are_exclusive(self, tmp_path):
         p = tmp_path / "m.txt"
         write_matrix(make_ring(4, 0.0), p)
@@ -487,6 +494,22 @@ class TestErrorPaths:
         blocker.write_text("")
         assert main(["figure", "contour", "--out-dir", str(blocker)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write under {blocker}: ")
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["simulate", "--ring", "4", "--model", "degroot", "--steps", "3",
+              "--runs", "2", "--out"], "error: cannot write /dev/null/xxx"),
+            (["figure", "contour", "--out-dir"], "error: cannot write under /dev/null/xxx"),
+        ],
+        ids=["simulate", "figure"],
+    )
+    def test_a_long_output_path_is_cut_short(self, argv, prefix, capsys):
+        assert main([*argv, "/dev/null/" + "x" * 100_000]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+        assert len(captured.err.encode()) <= 300
 
 
 class TestHumanVerdicts:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -456,3 +457,17 @@ class TestMatrixFileEdges:
         with pytest.raises(ParseError, match="^line 1: matrix size must be positive") as ei:
             read_matrix(p)
         assert ei.value.line == 1
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ("-" + "9" * 4000, "line 1: matrix size must be positive, got -<13288-bit int>"),
+            ("9" * 4000, "line 2: expected <13288-bit int> rows, found 1"),
+        ],
+        ids=["negative", "positive"],
+    )
+    def test_a_long_size_is_shown_by_its_bit_count(self, tmp_path, size, message):
+        p = tmp_path / "m.txt"
+        p.write_text(f"{size}\n0.5 0.5\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_matrix(p)

@@ -228,6 +228,36 @@ def test_numpy_scalar_parameters_match_reference(param, corpus20):
         )
 
 
+def test_kernels_read_python_floats_whatever_the_parameter(monkeypatch):
+    # the walk converts a parameter's root sum and product once, so the
+    # scalar kernels only ever see Python floats
+    seen = []
+
+    def watch(kernel):
+        def read(b, c):
+            seen.append((type(b), type(c)))
+            return kernel(b, c)
+
+        return read
+
+    monkeypatch.setattr(analysis, "_larger_modulus", watch(_larger_modulus))
+    monkeypatch.setattr(analysis, "_root_pair", watch(_root_pair))
+    spectra = [
+        eigendecompose_symmetric(make_ring(n, loop))
+        for n in (16, 17, 64)
+        for loop in (0.0, 0.1)
+    ]
+    extra = [0.3, 1.0, 1.3, 2.0, 1]  # Python floats and an int
+    for param in SCALAR_PARAMS + extra:
+        for spec in spectra:
+            check_mla_convergence(spec, param)
+            with contextlib.suppress(NotConvergent):
+                rho_ess_mla(spec, param)
+            rho_ess_accelerated(spec, param)
+    assert len(seen) > 3 * len(spectra) * (len(SCALAR_PARAMS) + len(extra))
+    assert set(seen) == {(float, float)}
+
+
 # Spectra where reading the rate off the ends is hardest: clusters of
 # eigenvalues a few ulps apart (as rings give), magnitudes down to 1e-300,
 # and parameters on the double root of lambda_2 or lambda_n, at +-0,
