@@ -21,7 +21,10 @@ And the exact distance to consensus read off a solved spectrum, which a
 simulated trajectory must follow to rounding, and the largest gain of
 that error over the non-dominant eigenvalues, which bounds a batch's
 envelope. And the simple-dominant rule checked afresh on every call,
-which a `Spectrum` now settles once when it is built.
+which a `Spectrum` now settles once when it is built. And the `analyze`
+and `validate` subcommands with every decision made inline and every
+porcelain line printed by hand: the text that one analysis record and
+one key=value writer must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -29,16 +32,31 @@ from __future__ import annotations
 import cmath
 import collections
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
+from consensuslab import analysis
 from consensuslab.analysis import BetaStar, ConvergenceVerdict
 from consensuslab.dynamics import ModelKind, _advance, _check_vector
-from consensuslab.errors import AssumptionViolated, DominantNotSimple, NotConvergent
-from consensuslab.net import validate
+from consensuslab.errors import (
+    AssumptionViolated,
+    BadParameter,
+    BadSpectrum,
+    ConsensusLabError,
+    DominantNotSimple,
+    NotConvergent,
+    ParseError,
+)
+from consensuslab.net import analyze_structure, validate
 from consensuslab.sim import TraceSummary, _substream
-from consensuslab.spectral import _contract_bound, certificate_bound, rho_ess
+from consensuslab.spectral import (
+    _contract_bound,
+    certificate_bound,
+    eigendecompose_symmetric,
+    rho_ess,
+)
 
 
 class MappedPair(NamedTuple):
@@ -391,3 +409,114 @@ def bfs_levels(pattern) -> np.ndarray:
                 level[v] = level[u] + 1
                 queue.append(v)
     return np.array(level)
+
+
+def _flag(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def cli_validate(A, porcelain: bool) -> None:
+    """Print what `consensuslab validate` prints for the network A."""
+    rep = analyze_structure(A)
+    if porcelain:
+        print(f"n={A.n}")
+        print("row_stochastic=true")
+        print(f"symmetric={_flag(rep.symmetric)}")
+        print(f"irreducible={_flag(rep.irreducible)}")
+        print(f"primitive={_flag(rep.primitive)}")
+        if rep.primitive:
+            print(f"witness_k={rep.witness_k}")
+    else:
+        print(f"valid row-stochastic network with {A.n} agents")
+        print(f"  symmetric:   {rep.symmetric}")
+        print(f"  irreducible: {rep.irreducible}")
+        extra = (
+            f" (smallest all-positive power: {rep.witness_k})"
+            if rep.primitive
+            else ""
+        )
+        print(f"  primitive:   {rep.primitive}{extra}")
+
+
+def cli_analyze(A, gamma, porcelain: bool) -> None:
+    """Print what `consensuslab analyze [--gamma G]` prints for the network
+    A, deciding which optima exist, the rate chain and the verdict inline."""
+    spec = eigendecompose_symmetric(A)
+    rho = rho_ess(spec)
+
+    gs = bs = None
+    try:
+        gs = analysis.optimal_gamma(spec)
+    except BadSpectrum:
+        pass
+    try:
+        bs = analysis.optimal_beta(spec)
+    except BadSpectrum as e:
+        no_optima = e
+    chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
+
+    verdict = gamma_rate = None
+    if gamma is not None:
+        verdict = analysis.check_mla_convergence(spec, gamma)
+        if verdict.converges:
+            gamma_rate = verdict.limiting_eigenvalue_modulus
+
+    if porcelain:
+        f = "%.17g"
+        print(f"n={A.n}")
+        print("spectrum=" + ",".join(f % v for v in spec.eigenvalues))
+        print(f"rho_ess={f % rho}")
+        print(f"degroot_rate={f % rho}")
+        print(f"gamma_star={f % gs.gamma if gs else 'nan'}")
+        print(f"mla_rate={f % gs.rate if gs else 'nan'}")
+        print(f"mla_hypotheses_met={_flag(gs.hypotheses_met) if gs else 'nan'}")
+        print(f"beta_star={f % bs.beta if bs else 'nan'}")
+        print(f"accelerated_rate={f % bs.rate if bs else 'nan'}")
+        print(f"rate_chain_ok={_flag(chain_ok)}")
+        if verdict is not None:
+            print(f"gamma={f % gamma}")
+            print(f"gamma_converges={_flag(verdict.converges)}")
+            print(f"gamma_in_range={_flag(verdict.gamma_in_range)}")
+            print(f"criterion_ii_value={f % verdict.criterion_ii_value}")
+            print(f"limiting_modulus={f % verdict.limiting_eigenvalue_modulus}")
+            print(
+                "mla_rate_at_gamma="
+                + (f % gamma_rate if gamma_rate is not None else "nan")
+            )
+    else:
+        f = "%.12g"
+        print(f"agents:      {A.n}")
+        print("spectrum:    " + ", ".join(f % v for v in spec.eigenvalues))
+        print(f"rho_ess(A):  {f % rho}   (DeGroot rate)")
+        if gs is not None:
+            valid = "closed form valid" if gs.hypotheses_met else "recomputed honestly"
+            print(f"gamma* = {f % gs.gamma}   MLA rate {f % gs.rate}   ({valid})")
+        elif bs is not None:
+            print("gamma* unavailable: needs a negative smallest eigenvalue")
+        if bs is None:
+            print(f"optimal parameters unavailable: {no_optima}")
+        else:
+            print(f"beta*  = {f % bs.beta}   accelerated rate {f % bs.rate}")
+        if gs is not None:
+            print(f"rate ordering MLA < accelerated < DeGroot: {chain_ok}")
+        if verdict is not None:
+            if verdict.converges:
+                print(f"gamma={f % gamma}: convergent, rate {f % gamma_rate}")
+            else:
+                print(
+                    f"gamma={f % gamma}: NOT convergent "
+                    f"(gamma in (0,2): {verdict.gamma_in_range}, "
+                    f"criterion value: {f % verdict.criterion_ii_value})"
+                )
+
+
+def cli_exit_code(render, *args) -> int:
+    """Run a renderer above as the CLI's main does: a library error prints
+    "error: <message>" to stderr and exits 2 for a usage or parse error,
+    1 for any other."""
+    try:
+        render(*args)
+    except ConsensusLabError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2 if isinstance(e, (ParseError, BadParameter)) else 1
+    return 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import consensuslab
-from conftest import bridged_cliques, relabelled_rings
+import scalar_reference as ref
+from conftest import bipartite_with_loops, bridged_cliques, relabelled_rings
 from consensuslab import (
     eigendecompose_symmetric,
     make_ring,
@@ -243,6 +244,71 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: gamma={float(gamma)!r} ")
+
+
+def _two_swaps():
+    # two disconnected 2-agent swap networks: reducible, eigenvalues {1, 1, -1, -1}
+    W = np.zeros((4, 4))
+    W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+    return validate(W)
+
+
+# the networks the reference renderer pins: a ring as (n, self-loop), a
+# file as the network written to it
+PINNED_NETWORKS = {
+    "ring3": (3, None),
+    "ring8": (8, None),
+    "ring9": (9, None),
+    "ring4-loops": (4, "0.1"),
+    "ring32-loops": (32, "0.1"),
+    "lazy-ring64": (64, "0.5"),
+    "k3": (3, "0.3333333333333333"),
+    "k44-loops": lambda: bipartite_with_loops(8, 0.05, seed=8),
+    "random40": lambda: random_symmetric_stochastic(40, 0),
+    "reducible": _two_swaps,
+}
+
+
+class TestAgainstReferenceRenderer:
+    """`analyze` and `validate` print, byte for byte and with the same
+    stderr and exit code, what the reference renderer prints from the
+    library's optima, verdict and structure report."""
+
+    @pytest.fixture(params=list(PINNED_NETWORKS), ids=list(PINNED_NETWORKS))
+    def network(self, request, tmp_path):
+        """(input arguments, the network main reads from them)."""
+        source = PINNED_NETWORKS[request.param]
+        if callable(source):
+            path = tmp_path / "net.txt"
+            write_matrix(source(), path)
+            return ["--input", str(path)], read_matrix(path)
+        n, eps = source
+        argv = ["--ring", str(n)] + (["--self-loop", eps] if eps else [])
+        return argv, make_ring(n, float(eps or 0.0))
+
+    @staticmethod
+    def _same_as_reference(capsys, argv, render, *args):
+        want_code = ref.cli_exit_code(render, *args)
+        want = capsys.readouterr()
+        assert main(argv) == want_code
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+    @pytest.mark.parametrize("gamma", [None, "0.5", "1.0", "1.9", "-0.2", "nan"])
+    def test_analyze(self, network, gamma, porcelain, capsys):
+        inputs, A = network
+        argv = ["analyze", *inputs]
+        argv += [] if gamma is None else [f"--gamma={gamma}"]
+        argv += ["--porcelain"] if porcelain else []
+        g = None if gamma is None else float(gamma)
+        self._same_as_reference(capsys, argv, ref.cli_analyze, A, g, porcelain)
+
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+    def test_validate(self, network, porcelain, capsys):
+        inputs, A = network
+        argv = ["validate", *inputs] + (["--porcelain"] if porcelain else [])
+        self._same_as_reference(capsys, argv, ref.cli_validate, A, porcelain)
 
 
 class TestSimulateCommand:
