@@ -7,6 +7,7 @@ experiments.
 """
 
 from .analysis import (
+    AnalysisSummary,
     BetaStar,
     ConvergenceVerdict,
     GammaStar,
@@ -19,6 +20,7 @@ from .analysis import (
     optimal_gamma,
     rho_ess_accelerated,
     rho_ess_mla,
+    summary,
 )
 from .dynamics import ModelKind, ModelParams
 from .errors import (
@@ -62,6 +64,7 @@ from .spectral import Spectrum, eigendecompose_symmetric, rho_ess
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisSummary",
     "AssumptionViolated",
     "BadParameter",
     "BadSpectrum",
@@ -107,6 +110,7 @@ __all__ = [
     "rho_ess_mla",
     "run_batch",
     "simulate_trajectory",
+    "summary",
     "validate",
     "write_matrix",
 ]

@@ -37,6 +37,7 @@ takes them from it instead of deriving them again on each call.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -472,3 +473,56 @@ def improving_gamma_exists(spec: Spectrum) -> Optional[tuple[float, float]]:
         if improved < rho - tol:
             return (sign * mag, improved)
     return None
+
+
+class AnalysisSummary(NamedTuple):
+    """What `summary` knows: the `analyze` porcelain keys in order, then
+    why neither optimum exists. A value that does not exist is None, and
+    so is each field from gamma on when no gamma was given."""
+
+    n: int
+    spectrum: tuple[float, ...]
+    rho_ess: float
+    degroot_rate: float
+    gamma_star: float | None
+    mla_rate: float | None
+    mla_hypotheses_met: bool | None
+    beta_star: float | None
+    accelerated_rate: float | None
+    rate_chain_ok: bool
+    gamma: float | None = None
+    gamma_converges: bool | None = None
+    gamma_in_range: bool | None = None
+    criterion_ii_value: float | None = None
+    limiting_modulus: float | None = None
+    mla_rate_at_gamma: float | None = None
+    no_optima: str | None = None
+
+
+def summary(spec: Spectrum, gamma: float | None = None) -> AnalysisSummary:
+    """Everything the `analyze` subcommand reports, in one record: rho_ess,
+    which is the DeGroot rate, gamma* and beta* where `optimal_gamma` and
+    `optimal_beta` find them, whether their rates order MLA < accelerated <
+    DeGroot, and a given gamma's `check_mla_convergence` verdict with its
+    MLA rate if it converges. Raises as `rho_ess`, then the optima but for
+    BadSpectrum, then the verdict would, in that order.
+    """
+    rho = rho_ess(spec)
+    gs = bs = no_optima = None
+    with suppress(BadSpectrum):  # gamma* also needs lambda_n < 0; beta* says the rest
+        gs = optimal_gamma(spec)
+    try:
+        bs = optimal_beta(spec)
+    except BadSpectrum as e:
+        no_optima = str(e)
+    at_gamma = ()
+    if gamma is not None:
+        v = check_mla_convergence(spec, gamma)
+        at_gamma = (gamma, *v, v.limiting_eigenvalue_modulus if v.converges else None)
+    # GammaStar, BetaStar and the verdict fill their fields in their own order
+    return AnalysisSummary(
+        len(spec._floats), spec._floats, rho, rho,
+        *(gs or (None,) * 3), *(bs or (None,) * 2),
+        gs is not None and bs is not None and gs.rate < bs.rate < rho,
+        *at_gamma, no_optima=no_optima,
+    )

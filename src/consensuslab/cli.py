@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import suppress
 
 import numpy as np
 
@@ -21,14 +20,13 @@ from . import analysis, net, sim
 from .dynamics import ModelKind, ModelParams
 from .errors import (
     BadParameter,
-    BadSpectrum,
     ConsensusLabError,
     DominantNotSimple,
     InsufficientData,
     NotConvergent,
     ParseError,
 )
-from .spectral import eigendecompose_symmetric, rho_ess
+from .spectral import eigendecompose_symmetric
 
 _HUMAN = "%.12g"
 _PORCELAIN = "%.17g"
@@ -66,21 +64,29 @@ def _load(args, parser: argparse.ArgumentParser) -> net.WeightedAdjacency:
         raise BadParameter(_cannot("read", args.input, e)) from None
 
 
-def _flag(v: bool) -> str:
-    return "true" if v else "false"
+def _porcelain(pairs) -> None:
+    """Print each (key, value) as the line key=value: a bool as true or
+    false, None as nan, a tuple as its numbers comma-joined, and a number
+    as %.17g, which prints an int as itself."""
+    for key, value in pairs:
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif value is None:
+            value = "nan"
+        elif isinstance(value, tuple):
+            value = ",".join(_PORCELAIN % v for v in value)
+        else:
+            value = _PORCELAIN % value
+        print(f"{key}={value}")
 
 
 def cmd_validate(args, parser) -> int:
     A = _load(args, parser)
     rep = net.analyze_structure(A)
     if args.porcelain:
-        print(f"n={A.n}")
-        print("row_stochastic=true")
-        print(f"symmetric={_flag(rep.symmetric)}")
-        print(f"irreducible={_flag(rep.irreducible)}")
-        print(f"primitive={_flag(rep.primitive)}")
-        if rep.primitive:
-            print(f"witness_k={rep.witness_k}")
+        # witness_k is None unless the network is primitive
+        known = {k: v for k, v in vars(rep).items() if v is not None}
+        _porcelain({"n": A.n, "row_stochastic": True, **known}.items())
     else:
         print(f"valid row-stochastic network with {A.n} agents")
         print(f"  symmetric:   {rep.symmetric}")
@@ -105,73 +111,37 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_analyze(args, parser) -> int:
     A = _load(args, parser)
-    # the solve rejects asymmetric networks and rho_ess reducible ones; on one
-    # that is not primitive rho_ess is exactly 1 and the optima raise BadSpectrum
-    spec = eigendecompose_symmetric(A)
-    rho = rho_ess(spec)
-
-    # beta* needs 0 < rho < 1; gamma* also needs a negative lambda_n
-    gs = bs = None
-    with suppress(BadSpectrum):
-        gs = analysis.optimal_gamma(spec)
-    try:
-        bs = analysis.optimal_beta(spec)
-    except BadSpectrum as e:
-        no_optima = e
-    chain_ok = gs is not None and bs is not None and gs.rate < bs.rate < rho
-
-    verdict = gamma_rate = None
-    if args.gamma is not None:
-        verdict = analysis.check_mla_convergence(spec, args.gamma)
-        if verdict.converges:
-            gamma_rate = verdict.limiting_eigenvalue_modulus
-
+    r = analysis.summary(eigendecompose_symmetric(A), args.gamma)
     if args.porcelain:
-        f = _PORCELAIN
-        print(f"n={A.n}")
-        print("spectrum=" + ",".join(f % v for v in spec.eigenvalues))
-        print(f"rho_ess={f % rho}")
-        print(f"degroot_rate={f % rho}")
-        print(f"gamma_star={f % gs.gamma if gs else 'nan'}")
-        print(f"mla_rate={f % gs.rate if gs else 'nan'}")
-        print(f"mla_hypotheses_met={_flag(gs.hypotheses_met) if gs else 'nan'}")
-        print(f"beta_star={f % bs.beta if bs else 'nan'}")
-        print(f"accelerated_rate={f % bs.rate if bs else 'nan'}")
-        print(f"rate_chain_ok={_flag(chain_ok)}")
-        if verdict is not None:
-            print(f"gamma={f % args.gamma}")
-            print(f"gamma_converges={_flag(verdict.converges)}")
-            print(f"gamma_in_range={_flag(verdict.gamma_in_range)}")
-            print(f"criterion_ii_value={f % verdict.criterion_ii_value}")
-            print(f"limiting_modulus={f % verdict.limiting_eigenvalue_modulus}")
-            print(
-                "mla_rate_at_gamma="
-                + (f % gamma_rate if gamma_rate is not None else "nan")
-            )
+        # the verdict's keys only follow a given gamma; no_optima is for humans
+        last = r._fields.index("gamma" if r.gamma is None else "no_optima")
+        _porcelain(zip(r._fields[:last], r))
     else:
         f = _HUMAN
-        print(f"agents:      {A.n}")
-        print("spectrum:    " + ", ".join(f % v for v in spec.eigenvalues))
-        print(f"rho_ess(A):  {f % rho}   (DeGroot rate)")
-        if gs is not None:
-            valid = "closed form valid" if gs.hypotheses_met else "recomputed honestly"
-            print(f"gamma* = {f % gs.gamma}   MLA rate {f % gs.rate}   ({valid})")
-        elif bs is not None:
+        print(f"agents:      {r.n}")
+        print("spectrum:    " + ", ".join(f % v for v in r.spectrum))
+        print(f"rho_ess(A):  {f % r.rho_ess}   (DeGroot rate)")
+        if r.gamma_star is not None:
+            how = "closed form valid" if r.mla_hypotheses_met else "recomputed honestly"
+            print(f"gamma* = {f % r.gamma_star}   MLA rate {f % r.mla_rate}   ({how})")
+        elif r.beta_star is not None:
             print("gamma* unavailable: needs a negative smallest eigenvalue")
-        if bs is None:
-            print(f"optimal parameters unavailable: {no_optima}")
+        if r.beta_star is None:
+            print(f"optimal parameters unavailable: {r.no_optima}")
         else:
-            print(f"beta*  = {f % bs.beta}   accelerated rate {f % bs.rate}")
-        if gs is not None:
-            print(f"rate ordering MLA < accelerated < DeGroot: {chain_ok}")
-        if verdict is not None:
-            if verdict.converges:
-                print(f"gamma={f % args.gamma}: convergent, rate {f % gamma_rate}")
+            rate = f % r.accelerated_rate
+            print(f"beta*  = {f % r.beta_star}   accelerated rate {rate}")
+        if r.gamma_star is not None:
+            print(f"rate ordering MLA < accelerated < DeGroot: {r.rate_chain_ok}")
+        if r.gamma is not None:
+            if r.gamma_converges:
+                rate = f % r.mla_rate_at_gamma
+                print(f"gamma={f % r.gamma}: convergent, rate {rate}")
             else:
                 print(
-                    f"gamma={f % args.gamma}: NOT convergent "
-                    f"(gamma in (0,2): {verdict.gamma_in_range}, "
-                    f"criterion value: {f % verdict.criterion_ii_value})"
+                    f"gamma={f % r.gamma}: NOT convergent "
+                    f"(gamma in (0,2): {r.gamma_in_range}, "
+                    f"criterion value: {f % r.criterion_ii_value})"
                 )
     return 0
 
@@ -230,9 +200,8 @@ def _figure_series(args):
         A, beta, gamma = net.make_ring(4, 0.0), 1.2, 0.5
     else:
         A = net.make_ring(4, 0.1)
-        spec = eigendecompose_symmetric(A)
-        beta = analysis.optimal_beta(spec).beta
-        gamma = analysis.optimal_gamma(spec).gamma
+        r = analysis.summary(eigendecompose_symmetric(A))
+        beta, gamma = r.beta_star, r.gamma_star
     models = (
         ModelParams.degroot(),
         ModelParams.accelerated(beta),

@@ -115,15 +115,16 @@ def _real_array(x, what: str) -> np.ndarray:
     inside a list, is rejected rather than cast with its imaginary parts
     dropped, and so are datetime64 and timedelta64, which would cast to
     integer counts; numeric strings convert as float() reads them and None
-    reads as NaN. The first entry that does not convert is named. A float
-    input is copied once, then cast without a copy.
+    reads as NaN. The first entry that does not convert, an int past the
+    float range included, is named. A float input is copied once, then
+    cast without a copy.
     """
     try:
         x = np.array(x)
         if x.dtype.kind in "cmM":
             raise TypeError(f"{x.dtype} values")
         return x.astype(float, copy=False)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         if isinstance(x, np.ndarray) and x.dtype.kind in "OSU":  # the cast failed
             # bisect for the first entry that fails, casting n entries in all
             flat, lo, hi = x.reshape(-1), 0, x.size
@@ -132,7 +133,7 @@ def _real_array(x, what: str) -> np.ndarray:
                 try:
                     flat[lo:mid].astype(float)
                     lo = mid
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     hi = mid
             e = f"{_show(flat.item(lo))} does not convert"
         raise BadParameter(f"{what} of real numbers: {e}") from None

@@ -51,6 +51,10 @@ FIT_MIN_POINTS = 10
 # whose log distance moves less than that over the window may be rounding
 # alone, and its slope no rate
 _FIT_MIN_CHANGE = float(np.finfo(float).eps) / FIT_NORM_FLOOR
+# rows summing to 1 only within e = A 1 - 1 move the limit off the initial
+# mean by up to about |mean x0| ||e||_2 / (1 - lambda_2), where the states
+# plateau: 100 ||e||_2 stays above that for a spectral gap over about 0.01
+_FIT_ROW_SUM_FACTOR = 100.0
 
 
 def _substream(seed: int, run: int) -> np.random.Generator:
@@ -171,8 +175,10 @@ def fit_rate(
     regresses its log against the step index. The window drops the first
     10% of steps and every step whose norm sits below 1e-13 times
     max(1, max|x0|), where rounding noise dominates: the states round
-    relative to their size. Raises NotSymmetric on an asymmetric
-    matrix, whose consensus value is not the initial mean, the
+    relative to their size. The floor rises to 100 times the 2-norm of
+    the row-sum error when that is larger, above the plateau where such a
+    network's states settle off the initial mean. Raises NotSymmetric on
+    an asymmetric matrix, whose consensus value is not the initial mean, the
     `simulate_trajectory` errors on x0 and steps, NotConvergent when the
     states or their distance to consensus overflow, and InsufficientData
     with fewer than 10 usable points, e.g. when started at consensus, or
@@ -188,7 +194,9 @@ def fit_rate(
         k = np.argmin(np.isfinite(norms))
         raise NotConvergent(f"the distance to consensus overflows at step {k}")
     k_start = int(np.ceil(FIT_SKIP_FRACTION * steps))
-    usable = norms >= FIT_NORM_FLOOR * max(1.0, float(np.abs(traj[0]).max()))
+    row_error = float(np.linalg.norm(A.weights.sum(axis=1) - 1.0))
+    floor = max(FIT_NORM_FLOOR, _FIT_ROW_SUM_FACTOR * row_error)
+    usable = norms >= floor * max(1.0, float(np.abs(traj[0]).max()))
     usable[:k_start] = False
     ks = np.flatnonzero(usable)
     if ks.size < FIT_MIN_POINTS:

@@ -114,10 +114,15 @@ class Spectrum:
             raise BadSpectrum("eigenvalues must be real and finite")
         if (w[1:] > w[:-1]).any():
             raise BadSpectrum("eigenvalues must be sorted descending")
-        if (v := self.eigenvectors) is not None and np.shape(v) != (w.size, w.size):
-            raise BadSpectrum(
-                f"eigenvectors must be {w.size}-by-{w.size}, got shape {np.shape(v)}"
-            )
+        if (v := self.eigenvectors) is not None:
+            try:
+                got = f"shape {np.shape(v)}"
+            except ValueError:  # numpy refuses ragged rows
+                got = "ragged rows"
+            if got != f"shape {(w.size, w.size)}":
+                raise BadSpectrum(
+                    f"eigenvectors must be {w.size}-by-{w.size}, got {got}"
+                )
         floats = tuple(w.astype(float, copy=False).tolist())
         object.__setattr__(self, "_floats", floats)
         object.__setattr__(self, "_simple", _dominance_fault(floats) is None)

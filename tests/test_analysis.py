@@ -34,9 +34,11 @@ from consensuslab import (
     rho_ess_accelerated,
     rho_ess_mla,
     simulate_trajectory,
+    summary,
     validate,
 )
 from consensuslab import spectral
+from conftest import bipartite_with_loops
 from scalar_reference import augmented_matrix, roots_in_unit_disk_via_halfplane
 
 GAMMA_STAR = 0.8541019662496845  # 2.5 * (sqrt(1.8) - 1) for rho = 0.8
@@ -688,3 +690,73 @@ def test_improvement_search_skips_a_gamma_that_fails_the_criterion():
     spec = Spectrum(np.array([1.0, 0.95, -0.9]))
     assert not check_mla_convergence(spec, 1.1).converges
     assert improving_gamma_exists(spec) == (0.01, 0.9494946779900757)
+
+
+SUMMARY_NETWORKS = {
+    "ring4-loops": make_ring(4, 0.1),
+    "ring9": make_ring(9),
+    "ring8": make_ring(8),
+    "lazy-ring64": make_ring(64, 0.5),
+    "k3": make_ring(3, 1.0 / 3.0),
+    "k44-loops": bipartite_with_loops(8, 0.05, seed=8),
+}
+
+
+class TestSummary:
+    """`summary` holds what rho_ess, the optima and the verdict return, each
+    under its porcelain key, and None where a value does not exist."""
+
+    @pytest.mark.parametrize("gamma", [None, 0.5, 1.0, 1.9, -0.2])
+    @pytest.mark.parametrize("name", SUMMARY_NETWORKS)
+    def test_fields_are_the_library_answers(self, name, gamma):
+        spec = eigendecompose_symmetric(SUMMARY_NETWORKS[name])
+        s = summary(spec, gamma)
+        rho = rho_ess(spec)
+        assert (s.n, s.spectrum) == (spec.eigenvalues.size, tuple(spec.eigenvalues))
+        assert s.rho_ess == s.degroot_rate == rho
+        try:
+            bs = optimal_beta(spec)
+        except BadSpectrum as e:
+            bs, reason = None, str(e)
+            assert s.no_optima == reason
+            assert s.beta_star is s.accelerated_rate is None
+        else:
+            assert s.no_optima is None
+            assert (s.beta_star, s.accelerated_rate) == (bs.beta, bs.rate)
+        try:
+            gs = optimal_gamma(spec)
+        except BadSpectrum:
+            gs = None
+            assert s.gamma_star is s.mla_rate is s.mla_hypotheses_met is None
+        else:
+            assert (s.gamma_star, s.mla_rate) == (gs.gamma, gs.rate)
+            assert s.mla_hypotheses_met is gs.hypotheses_met
+        chain = gs is not None and bs is not None and gs.rate < bs.rate < rho
+        assert s.rate_chain_ok is chain
+        if gamma is None:
+            assert s[s._fields.index("gamma") : -1] == (None,) * 6
+            return
+        v = check_mla_convergence(spec, gamma)
+        assert s.gamma == gamma
+        assert s.gamma_converges is v.converges
+        assert s.gamma_in_range is v.gamma_in_range
+        assert s.criterion_ii_value == v.criterion_ii_value
+        assert s.limiting_modulus == v.limiting_eigenvalue_modulus
+        rate = v.limiting_eigenvalue_modulus if v.converges else None
+        assert s.mla_rate_at_gamma == rate
+
+    def test_the_rate_chain_fails_on_the_pure_9_ring(self):
+        s = summary(eigendecompose_symmetric(make_ring(9)))
+        assert s.accelerated_rate < s.mla_rate < s.rho_ess
+        assert s.rate_chain_ok is False and s.mla_hypotheses_met is False
+
+    def test_errors_come_in_the_order_of_the_calls(self):
+        # rho_ess rejects a reducible network before gamma is looked at
+        W = np.zeros((4, 4))
+        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+        with pytest.raises(DominantNotSimple):
+            summary(eigendecompose_symmetric(validate(W)), float("nan"))
+        with pytest.raises(BadParameter, match="^gamma=nan must be a finite"):
+            summary(eigendecompose_symmetric(make_ring(8)), float("nan"))
+        with pytest.raises(BadParameter, match="^spectrum must be a Spectrum"):
+            summary(make_ring(8))

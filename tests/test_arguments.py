@@ -17,10 +17,12 @@ import pytest
 
 from consensuslab import (
     BadParameter,
+    BadSpectrum,
     ModelKind,
     ModelParams,
     NotConvergent,
     SimConfig,
+    Spectrum,
     analyze_structure,
     check_mla_convergence,
     consensus_value,
@@ -384,3 +386,33 @@ def test_a_matrix_that_is_not_real_keeps_numpys_words(weights, message):
     prefix = "weights must be a matrix of real numbers: "
     with pytest.raises(BadParameter, match=f"^{re.escape(prefix + message)}"):
         validate(weights)
+
+
+BIG_ENTRY = "of real numbers: <1329-bit int> does not convert"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validate([[10**400, 0], [0, 1]]), BadParameter,
+         f"weights must be a matrix {BIG_ENTRY}"),
+        (lambda: simulate_trajectory(A4, MLA, [1, 10**400, 0, 0], 3), BadParameter,
+         f"x0 must be a vector {BIG_ENTRY}"),
+        (lambda: fit_rate(A4, MLA, [1, 0, 0, 10**400], 30), BadParameter,
+         f"x0 must be a vector {BIG_ENTRY}"),
+        (lambda: consensus_value(A4, SPEC4, [10**400, 0.5, 0, 0]), BadParameter,
+         f"x0 must be a vector {BIG_ENTRY}"),
+        (lambda: Spectrum(np.array([1.0, 0.5]), [[1, 2], [3]]), BadSpectrum,
+         "eigenvectors must be 2-by-2, got ragged rows"),
+    ],
+    ids=["validate-int", "trajectory-int", "fit-int", "consensus-int",
+         "ragged-eigenvectors"],
+)
+def test_what_numpy_refuses_to_convert_gets_a_bounded_message(call, error, message):
+    # an int past the float range raised OverflowError, and ragged
+    # eigenvectors numpy's ValueError from np.shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as ei:
+            call()
+    assert len(str(ei.value)) < 300

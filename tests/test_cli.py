@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -535,6 +536,31 @@ def test_console_entry_point_runs_as_a_process(
         assert done.stdout == capsys.readouterr().out.encode()
     else:
         assert done.stdout == b"" and not os.path.exists("o.csv")
+
+
+@pytest.mark.parametrize(
+    "n, seed, last",
+    [
+        (40, 0, "fitted decay rate: "),
+        (128, 3, "rate fit skipped: 5 usable points in the fit window, need 10"),
+        (256, 1, "rate fit skipped: 2 usable points in the fit window, need 10"),
+    ],
+)
+def test_simulate_fits_no_plateau(n, seed, last, tmp_path, capsys):
+    # these networks' states settle about 1e-13 off the initial mean, where
+    # the fit read 0.9025, 0.9654 and 0.9834 against rates of 0.3246,
+    # 0.1843 and 0.1348: now a rate within 5% of theory, or no fit
+    path = tmp_path / "random.txt"
+    write_matrix(random_symmetric_stochastic(n, seed), path)
+    argv = ["simulate", "--input", str(path), "--model", "degroot", "--runs", "2",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(last)
+    if last.startswith("fitted"):
+        m = re.match(r"fitted decay rate: (\S+) \(theory (\S+),", line)
+        fitted, theory = float(m[1]), float(m[2])
+        assert abs(fitted - theory) / theory <= 0.05
 
 
 class TestErrorPaths:

@@ -24,6 +24,7 @@ from consensuslab import (
     eigendecompose_symmetric,
     fit_rate,
     make_ring,
+    model_rate,
     optimal_gamma,
     random_symmetric_stochastic,
     rho_ess,
@@ -402,6 +403,48 @@ class TestFitRate:
         fit = fit_rate(ring4_loops, ModelParams.degroot(), x0, 100)
         assert fit.window[0] >= 10
         assert fit.window[1] <= 100
+
+
+class TestFitAboveThePlateau:
+    """A random network's rows sum to 1 only within 1e-13, so its states
+    settle about 1e-13 off the initial mean, just above the norm floor.
+    The window stops above that plateau: a fit reads the decay, within 5%
+    of the model's rate, or there are too few points to fit."""
+
+    @pytest.mark.parametrize(
+        "n, seed, model, usable",
+        [
+            (40, 0, ModelParams.degroot(), None),
+            (128, 3, ModelParams.degroot(), 5),
+            (256, 1, ModelParams.degroot(), 2),
+            (256, 1, ModelParams.mla(0.9), 5),
+            (40, 0, ModelParams.accelerated(1.2), None),
+            (128, 0, ModelParams.accelerated(1.2), None),
+        ],
+    )
+    def test_the_default_run(self, n, seed, model, usable):
+        # the seed-0 start of `simulate`'s 100 steps; the plateau read
+        # 0.9025, 0.9654, 0.9834 and 0.9665 for the first four rows
+        A = random_symmetric_stochastic(n, seed)
+        x0 = sim._initial_state(0, 0, n)
+        rate = model_rate(eigendecompose_symmetric(A), model)
+        if usable is None:
+            fit = fit_rate(A, model, x0, 100)
+            assert abs(fit.fitted_rate - rate) / rate <= 0.05
+            assert fit.r_squared >= 0.999
+        else:
+            with pytest.raises(InsufficientData, match=f"^{usable} usable points"):
+                fit_rate(A, model, x0, 100)
+
+    def test_a_network_with_exact_row_sums_keeps_the_norm_floor(self):
+        # the same network with its rows made to sum to 1 exactly decays
+        # to rounding and fits down to 1e-13
+        W = random_symmetric_stochastic(40, 0).weights.copy()
+        W[np.diag_indices(40)] += 1.0 - W.sum(axis=1)
+        A = validate(W)
+        assert np.abs(A.weights.sum(axis=1) - 1.0).max() <= 2.3e-16
+        fit = fit_rate(A, ModelParams.degroot(), sim._initial_state(0, 0, 40), 100)
+        assert fit.window[1] >= 25
 
 
 class TestStateInputs:
