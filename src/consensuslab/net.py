@@ -5,7 +5,9 @@ matrices: entry (i, j) is the weight agent i assigns to agent j's state.
 Whether an update rule settles, and how fast, is decided by structural
 properties of the weight pattern (symmetry, irreducibility, primitivity)
 together with its spectrum, so those checks live here next to the
-constructors.
+constructors. A `WeightedAdjacency` checks itself when it is built, so no
+network exists unchecked and every function trusts one it is handed;
+`validate` is the conversion of a raw matrix into one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import operator
 import os
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,14 +32,6 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedAdjacency:
-    """A validated n-by-n non-negative row-stochastic weight matrix."""
-
-    n: int
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,6 +95,15 @@ def _check_real(value, name: str, finite: bool = False):
     return value
 
 
+def _new_array(make, size, name: str, value) -> np.ndarray:
+    """make(size); BadParameter naming `name`=value for a size numpy refuses."""
+    try:
+        return make(size)
+    except ValueError:  # "array is too big", "Maximum allowed dimension exceeded"
+        message = f"{name}={_show(value)} is too large for a numpy array"
+        raise BadParameter(message) from None
+
+
 def _check_path(path) -> None:
     # open() would also take an int (a bool too) as a file descriptor, and
     # close it: the caller's descriptor, or the process's stdout for 1
@@ -139,35 +142,43 @@ def _real_array(x, what: str) -> np.ndarray:
         raise BadParameter(f"{what} of real numbers: {e}") from None
 
 
-def validate(weights) -> WeightedAdjacency:
-    """Wrap a raw matrix after checking non-negativity and row sums.
+@dataclass(frozen=True, eq=False)
+class WeightedAdjacency:
+    """An n-by-n non-negative row-stochastic weight matrix, checked when built.
 
     Raises BadParameter on entries that are not real numbers (complex,
     non-numeric strings, ragged rows) or n < 2, NotSquare, NonFiniteWeight
     (NaN or infinite entry, None included), NegativeWeight, or
-    RowSumViolation. Row sums must be 1 within 1e-12.
+    RowSumViolation: row sums must be 1 within ROW_SUM_TOL. `weights` is
+    converted once and kept read-only; `n` is read off its shape.
     """
-    W = _real_array(weights, "weights must be a matrix")
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {W.shape}")
-    n = W.shape[0]
-    if n < 2:
-        raise BadParameter(f"need at least 2 agents, got n={n}")
-    nonfinite = np.argwhere(~np.isfinite(W))
-    if nonfinite.size:
-        i, j = map(int, nonfinite[0])
-        raise NonFiniteWeight(i, j, float(W[i, j]))
-    neg = np.argwhere(W < 0.0)
-    if neg.size:
-        i, j = map(int, neg[0])
-        raise NegativeWeight(i, j, float(W[i, j]))
-    sums = W.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise RowSumViolation(i, float(sums[i]))
-    W.setflags(write=False)
-    return WeightedAdjacency(n=n, weights=W)
+
+    weights: np.ndarray
+    n: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        W = _real_array(self.weights, "weights must be a matrix")
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            raise NotSquare(f"expected a square matrix, got shape {W.shape}")
+        if (n := W.shape[0]) < 2:
+            raise BadParameter(f"need at least 2 agents, got n={n}")
+        if (nonfinite := np.argwhere(~np.isfinite(W))).size:
+            i, j = map(int, nonfinite[0])
+            raise NonFiniteWeight(i, j, float(W[i, j]))
+        if (neg := np.argwhere(W < 0.0)).size:
+            i, j = map(int, neg[0])
+            raise NegativeWeight(i, j, float(W[i, j]))
+        sums = W.sum(axis=1)
+        if (bad := np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)).size:
+            raise RowSumViolation(int(bad[0]), float(sums[bad[0]]))
+        W.setflags(write=False)
+        object.__setattr__(self, "weights", W)
+        object.__setattr__(self, "n", n)
+
+
+def validate(weights) -> WeightedAdjacency:
+    """A raw matrix as a network: `WeightedAdjacency(weights)`, with its checks."""
+    return WeightedAdjacency(weights)
 
 
 def _asymmetry(W: np.ndarray) -> float:
@@ -305,7 +316,7 @@ def make_ring(n: int, self_loop: float = 0.0) -> WeightedAdjacency:
     if not 0.0 <= _check_real(self_loop, "self_loop") < 1.0:
         raise BadParameter(f"self_loop must lie in [0, 1), got {_show(self_loop)}")
     off = (1.0 - self_loop) / 2.0
-    I = np.eye(n)
+    I = _new_array(np.eye, n, "ring size n", n)
     W = off * (np.roll(I, 1, axis=1) + np.roll(I, -1, axis=1))
     np.fill_diagonal(W, self_loop)
     return validate(W)

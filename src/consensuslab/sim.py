@@ -28,6 +28,7 @@ from .net import (
     _check_int,
     _check_path,
     _check_type,
+    _new_array,
     require_symmetric,
     validate,
 )
@@ -41,8 +42,9 @@ _MASK64 = (1 << 64) - 1
 _SCALING_TOL = ROW_SUM_TOL / 10  # 1e-13
 _SCALING_SWEEPS = 10_000
 
-# fit window: drop the leading transient and anything at the float floor
-# (the norm floor is scaled by max(1, max|x0|) in fit_rate)
+# fit window: drop the leading transient, anything at the float floor
+# (the norm floor is scaled by max(1, max|x0|) in fit_rate) and the steps
+# after the least distance
 FIT_SKIP_FRACTION = 0.1
 FIT_NORM_FLOOR = 1e-13
 FIT_MIN_POINTS = 10
@@ -154,7 +156,7 @@ def simulate_trajectory(
     _check_type(model, ModelParams, "model")
     x0 = _check_vector(A, x0, "x0")
     _check_int(steps, "steps", 0)
-    out = np.empty((steps + 1, A.n))
+    out = _new_array(np.empty, (steps + 1, A.n), "steps", steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, X in enumerate(islice(_states(A, model, x0[None]), steps + 1)):
             out[k] = X[0]
@@ -177,13 +179,15 @@ def fit_rate(
     max(1, max|x0|), where rounding noise dominates: the states round
     relative to their size. The floor rises to 100 times the 2-norm of
     the row-sum error when that is larger, above the plateau where such a
-    network's states settle off the initial mean. Raises NotSymmetric on
-    an asymmetric matrix, whose consensus value is not the initial mean, the
-    `simulate_trajectory` errors on x0 and steps, NotConvergent when the
-    states or their distance to consensus overflow, and InsufficientData
-    with fewer than 10 usable points, e.g. when started at consensus, or
-    when the fitted log distance moves by less than about 2.2e-3 over
-    the window (`_FIT_MIN_CHANGE`), too little to tell a rate from 1.
+    network's states settle off the initial mean. The window ends at the
+    least distance after the skip, as a plateau may drift up over a long
+    run. Raises NotSymmetric on an asymmetric matrix, whose consensus
+    value is not the initial mean, the `simulate_trajectory` errors on x0
+    and steps, NotConvergent when the states or their distance to
+    consensus overflow, and InsufficientData with fewer than 10 usable
+    points, e.g. when started at consensus, or when the fitted log
+    distance moves by less than about 2.2e-3 over the window
+    (`_FIT_MIN_CHANGE`), too little to tell a rate from 1.
     """
     require_symmetric(A)
     traj = simulate_trajectory(A, model, x0, steps)
@@ -198,6 +202,7 @@ def fit_rate(
     floor = max(FIT_NORM_FLOOR, _FIT_ROW_SUM_FACTOR * row_error)
     usable = norms >= floor * max(1.0, float(np.abs(traj[0]).max()))
     usable[:k_start] = False
+    usable[k_start + int(np.argmin(norms[k_start:])) + 1 :] = False
     ks = np.flatnonzero(usable)
     if ks.size < FIT_MIN_POINTS:
         raise InsufficientData(
@@ -235,7 +240,7 @@ def random_symmetric_stochastic(n: int, seed: int) -> WeightedAdjacency:
     n = _check_int(n, "n", 2)
     rng = _substream(_check_int(seed, "seed"), 0)
     pairs = n * (n - 1) // 2
-    d = rng.random(2 * pairs + n)
+    d = _new_array(rng.random, 2 * pairs + n, "n", n)
     below = d < 0.6
     idx = np.arange(d.size)
     # the latest run start at or before each draw: index 0 and every draw

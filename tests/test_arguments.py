@@ -5,6 +5,7 @@ numpy, that float() can hold), and models, spectra and networks with
 isinstance, named by their type. A NaN or infinite parameter gets one
 message, and no message grows with the argument it shows."""
 
+import dataclasses
 import functools
 import os
 import re
@@ -18,11 +19,17 @@ import pytest
 from consensuslab import (
     BadParameter,
     BadSpectrum,
+    ConsensusLabError,
     ModelKind,
     ModelParams,
+    NegativeWeight,
+    NonFiniteWeight,
     NotConvergent,
+    NotSquare,
+    RowSumViolation,
     SimConfig,
     Spectrum,
+    WeightedAdjacency,
     analyze_structure,
     check_mla_convergence,
     consensus_value,
@@ -229,6 +236,60 @@ def test_every_scalar_entry_point_applies_one_rule(entry, kind, value):
             call(value)
 
 
+# matrices that are no non-negative row-stochastic network, each with the
+# error and the start of the message the constructor raises
+BAD_NETWORKS = {
+    "negative": ([[-1, 2], [2, -1]], NegativeWeight, "weight (0, 0) is negative: -1.0"),
+    "row-sum": ([[0.5, 0.6], [0.5, 0.5]], RowSumViolation,
+                "row 0 sums to 1.1, expected 1"),
+    "1x1": ([[1.0]], BadParameter, "need at least 2 agents, got n=1"),
+    "not-square": (np.full((2, 3), 0.5), NotSquare,
+                   "expected a square matrix, got shape (2, 3)"),
+    "nan": ([[float("nan"), 1], [0, 1]], NonFiniteWeight,
+            "weight (0, 0) is not finite: nan"),
+    "ragged": ([[1, 0], [1]], BadParameter,
+               "weights must be a matrix of real numbers: setting an array element"),
+    "10**400": ([[10**400, 0], [0, 1]], BadParameter,
+                "weights must be a matrix of real numbers: <1329-bit int> does not"),
+    "complex": ([[0.5 + 0j, 0.5], [0.5, 0.5]], BadParameter,
+                "weights must be a matrix of real numbers: complex128 values"),
+}
+
+
+@pytest.mark.parametrize(
+    "weights, error, prefix", BAD_NETWORKS.values(), ids=BAD_NETWORKS
+)
+def test_a_network_is_checked_when_built(weights, error, prefix):
+    good = WeightedAdjacency(weights=[[0.5, 0.5], [0.5, 0.5]])
+    assert good.n == 2
+    assert not good.weights.flags.writeable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (
+            lambda: WeightedAdjacency(weights=weights),
+            lambda: dataclasses.replace(good, weights=weights),
+        ):
+            with pytest.raises(ConsensusLabError) as ei:
+                build()
+            assert type(ei.value) is error
+            assert str(ei.value).startswith(prefix)
+            assert len(str(ei.value)) < 300
+
+
+def test_a_network_derives_n_and_keeps_its_own_read_only_weights():
+    W = np.full((3, 3), 1 / 3)
+    A = WeightedAdjacency(W)
+    W[0, 0] = 5.0
+    assert A.n == 3
+    assert A.weights[0, 0] == 1 / 3
+    with pytest.raises(ValueError, match="read-only"):
+        A.weights[0, 0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A.n = 2
+    with pytest.raises(TypeError):
+        WeightedAdjacency(n=3, weights=W)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -404,13 +465,25 @@ BIG_ENTRY = "of real numbers: <1329-bit int> does not convert"
          f"x0 must be a vector {BIG_ENTRY}"),
         (lambda: Spectrum(np.array([1.0, 0.5]), [[1, 2], [3]]), BadSpectrum,
          "eigenvectors must be 2-by-2, got ragged rows"),
+        # numpy refuses these sizes before it allocates anything
+        (lambda: make_ring(10**12), BadParameter,
+         "ring size n=1000000000000 is too large for a numpy array"),
+        (lambda: make_ring(10**19), BadParameter,
+         "ring size n=10000000000000000000 is too large for a numpy array"),
+        (lambda: simulate_trajectory(A4, MLA, X4, 10**19), BadParameter,
+         "steps=10000000000000000000 is too large for a numpy array"),
+        (lambda: fit_rate(A4, MLA, X4, 10**19), BadParameter,
+         "steps=10000000000000000000 is too large for a numpy array"),
+        (lambda: random_symmetric_stochastic(10**5000, 0), BadParameter,
+         "n=<16610-bit int> is too large for a numpy array"),
     ],
     ids=["validate-int", "trajectory-int", "fit-int", "consensus-int",
-         "ragged-eigenvectors"],
+         "ragged-eigenvectors", "ring-size", "ring-size-past-int64",
+         "trajectory-steps", "fit-steps", "random-size"],
 )
 def test_what_numpy_refuses_to_convert_gets_a_bounded_message(call, error, message):
-    # an int past the float range raised OverflowError, and ragged
-    # eigenvectors numpy's ValueError from np.shape
+    # an int past the float range raised OverflowError, ragged
+    # eigenvectors and sizes numpy refuses numpy's ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=f"^{re.escape(message)}$") as ei:

@@ -370,7 +370,12 @@ class TestMatrixIO:
         )
         nets = [make_ring(n, s) for n in (3, 5, 17) for s in (0.0, 1 / 3)]
         nets += [random_symmetric_stochastic(n, s) for n in (2, 64) for s in (0, 1)]
-        nets += [a for a, _ in corpus20[:5]] + [WeightedAdjacency(n=3, weights=odd)]
+        # the odd matrix is no network, so it is set on an instance that
+        # skips construction: the writer's formatting is what is tested
+        unchecked = object.__new__(WeightedAdjacency)
+        object.__setattr__(unchecked, "weights", odd)
+        object.__setattr__(unchecked, "n", 3)
+        nets += [a for a, _ in corpus20[:5]] + [unchecked]
         got, want = tmp_path / "got.txt", tmp_path / "want.txt"
         for A in nets:
             write_matrix(A, got)

@@ -17,7 +17,6 @@ from consensuslab import (
     NotSymmetric,
     SimConfig,
     TraceSummary,
-    WeightedAdjacency,
     analyze_structure,
     check_mla_convergence,
     consensus_value,
@@ -25,6 +24,7 @@ from consensuslab import (
     fit_rate,
     make_ring,
     model_rate,
+    optimal_beta,
     optimal_gamma,
     random_symmetric_stochastic,
     rho_ess,
@@ -254,8 +254,10 @@ class TestAgainstLoopReference:
                 inputs = [np.asarray(x) for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        W = make_ring(6, 0.1).weights
-        A = WeightedAdjacency(n=6, weights=W.view(Counting))
+        # a checked network keeps its own array: the counting view is set
+        # on it after construction
+        A = make_ring(6, 0.1)
+        object.__setattr__(A, "weights", A.weights.view(Counting))
         for model in MODELS:
             Counting.products = 0
             run_batch(A, SimConfig(model=model, steps=30, runs=4, seed=1))
@@ -445,6 +447,31 @@ class TestFitAboveThePlateau:
         assert np.abs(A.weights.sum(axis=1) - 1.0).max() <= 2.3e-16
         fit = fit_rate(A, ModelParams.degroot(), sim._initial_state(0, 0, 40), 100)
         assert fit.window[1] >= 25
+
+    @pytest.fixture(scope="class")
+    def bridged_blocks(self):
+        # two random 20-node blocks joined by a 0.002 bridge taken from the
+        # self-loops of nodes 19 and 20: gap 2.0e-4, below the 0.01 the
+        # row-sum floor covers
+        W = np.zeros((40, 40))
+        W[:20, :20] = random_symmetric_stochastic(20, 1).weights
+        W[20:, 20:] = random_symmetric_stochastic(20, 2).weights
+        W[19, 19] -= 0.002
+        W[20, 20] -= 0.002
+        W[19, 20] = W[20, 19] = 0.002
+        return validate(W)
+
+    @pytest.mark.parametrize("steps", [4000, 8000, 12000])
+    def test_the_window_ends_at_the_least_distance(self, bridged_blocks, steps):
+        # the distance settles at 7.7e-12, above the floor, and then drifts
+        # up: a window to the last step read 0.99928 (r^2 0.65) at 8,000
+        # steps and 1.00008 at 12,000, against beta*'s rate 0.98024
+        beta = optimal_beta(eigendecompose_symmetric(bridged_blocks))
+        x0 = sim._initial_state(0, 0, 40)
+        fit = fit_rate(bridged_blocks, ModelParams.accelerated(beta.beta), x0, steps)
+        assert abs(fit.fitted_rate - beta.rate) / beta.rate <= 2e-3
+        assert fit.r_squared >= 0.99
+        assert fit.window[1] < 1500  # the least distance, near step 1,285
 
 
 class TestStateInputs:
