@@ -177,29 +177,17 @@ _WALK_SCALE = 1.0 + 1e-6
 _WALK_FLOOR = 1e-150
 
 
-def _check_roots(coefficients, lam, param, name: str) -> None:
-    """Raise BadParameter unless param is a finite real number (worded by
-    `_check_real`) and the kernels' b*b + |4c| at lam = |lambda| is finite:
-    taken in the type of lam and param, as `_max_root_modulus` and the MLA
-    criterion 2*gamma*lam_n take theirs, and read as a float, as
-    `_limiting_modulus` reads the roots. |b| and |c| grow with |lambda|, so
-    the largest |lambda| of a spectrum or row decides for all."""
-    if type(param) is float and type(lam) is float:  # the verdicts' hot path
-        b, c = coefficients(lam, param)
-        finite = math.isfinite(b * b + abs(4.0 * c))
-    else:
-        _check_real(param, name)
-        try:  # numpy overflow, integer overflow included, raises here
-            with np.errstate(over="raise", invalid="raise"):
-                b, c = coefficients(lam, param)
-                finite = math.isfinite(b * b + abs(4.0 * c))
-        except (FloatingPointError, OverflowError):
-            finite = False
-    if not finite:
+def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
+    """Raise BadParameter unless the Python float param is finite (worded
+    by `_check_real`) and the kernels' b*b + |4c| at the Python float
+    lam = |lambda| is finite; a float overflows to infinity without a
+    warning. |b| and |c| grow with |lambda|, so the largest |lambda| of a
+    spectrum or row decides for all."""
+    b, c = coefficients(lam, param)
+    if not math.isfinite(b * b + abs(4.0 * c)):
         _check_real(param, name, finite=True)
         raise BadParameter(
-            f"{name}={float(param)!r} at |lambda| = {float(lam)!r} "
-            "gives non-finite root coefficients"
+            f"{name}={param!r} at |lambda| = {lam!r} gives non-finite root coefficients"
         )
 
 
@@ -218,24 +206,24 @@ def lambda_hat_max(lam, gamma):
 
     Elementwise over broadcast lam and gamma, numbers or array-likes; a
     float for scalar input, an empty array when either is empty. A scalar
-    must be a real number (`net._check_real`) and, kept as given, sets the
-    roots' precision; an array must hold bool, integer or float values.
-    BadParameter otherwise, or when the two do not broadcast.
+    must be a real number (`net._check_real`) and an array must hold bool,
+    integer or float values; both are read as float64. BadParameter
+    otherwise, or when the two do not broadcast.
     """
     args = []
     try:
         for x, name in ((lam, "lam"), (gamma, "gamma")):
             a = np.asarray(x)  # a ragged sequence raises ValueError
             if a.ndim == 0 and not isinstance(x, np.ndarray):
-                a = _check_real(x, name)
+                _check_real(x, name)
             elif a.dtype.kind not in "biuf":
                 raise BadParameter(f"{name} must be real numbers, got {a.dtype} values")
-            args.append(a)
+            args.append(a.astype(float, copy=False))
         np.broadcast_shapes(*map(np.shape, args))
     except ValueError as e:
         raise BadParameter(f"lam and gamma do not broadcast: {e}") from None
-    # the largest modulus of each, in its own type
-    tops = (abs(a).max(initial=0.0) if np.ndim(a) else abs(a) for a in args)
+    # the largest modulus of each
+    tops = (float(abs(a).max(initial=0.0)) for a in args)
     _check_roots(_mla_coefficients, *tops, "gamma")
     out = _max_root_modulus(*_mla_coefficients(*args))
     return float(out) if out.ndim == 0 else out
@@ -252,19 +240,11 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     lambda_2 side while its last modulus may still round up to the
     running maximum (see _WALK_SCALE), then the same walk from the
     lambda_n side, never past where the first stopped. The result is the
-    maximum over the whole spectrum, bit for bit. Any parameter but a Python
-    float sets the precision of each read's root sum and product, which are
-    then converted to floats. The overflow check reads the spectrum's end scale.
+    maximum over the whole spectrum, bit for bit. param is a Python float;
+    the overflow check reads the spectrum's end scale.
     """
     _require_simple_dominant(spec)
     _check_roots(coefficients, spec._scale, param, name)
-    if type(param) is not float:  # the type split `_check_roots` makes
-        in_own_type = coefficients
-
-        def coefficients(lam, param):  # the reads take Python floats
-            b, c = in_own_type(lam, param)
-            return float(b), float(c)
-
     w = spec._floats
     n = len(w)
     b, c = coefficients(w[0], param)
@@ -309,14 +289,16 @@ def check_mla_convergence(spec: Spectrum, gamma: float) -> ConvergenceVerdict:
     reads a lam_n that close to -1 as -1: at gamma = 1 the verdict is
     DeGroot's. Raises DominantNotSimple on a reducible network, whose
     components never reach a common value, and BadParameter on a gamma
-    that is not a finite real number or overflows the roots.
+    that is not a finite real number or overflows the roots. Any real
+    gamma is read as the Python float it holds.
     """
+    if type(gamma) is not float:
+        gamma = _check_real(gamma, "gamma")
     limiting = _limiting_modulus(spec, gamma, _mla_coefficients, "gamma")
     lam_n = spec._floats[-1]
     criterion = 2.0 * gamma * lam_n - lam_n + 1.0
-    # a numpy gamma compares to a numpy bool; the verdict holds Python bools
-    in_range = True if 0.0 < gamma < 2.0 else False
-    converges = True if in_range and criterion > spec._bound else False
+    in_range = 0.0 < gamma < 2.0
+    converges = in_range and criterion > spec._bound
     return _new_verdict(ConvergenceVerdict, (converges, in_range, criterion, limiting))
 
 
@@ -342,6 +324,8 @@ def rho_ess_accelerated(spec: Spectrum, beta: float) -> float:
 
     Raises as `check_mla_convergence` does on the spectrum and beta.
     """
+    if type(beta) is not float:
+        beta = _check_real(beta, "beta")
     return _limiting_modulus(spec, beta, _accelerated_coefficients, "beta")
 
 
@@ -517,6 +501,7 @@ def summary(spec: Spectrum, gamma: float | None = None) -> AnalysisSummary:
         no_optima = str(e)
     at_gamma = ()
     if gamma is not None:
+        gamma = _check_real(gamma, "gamma")
         v = check_mla_convergence(spec, gamma)
         at_gamma = (gamma, *v, v.limiting_eigenvalue_modulus if v.converges else None)
     # GammaStar, BetaStar and the verdict fill their fields in their own order

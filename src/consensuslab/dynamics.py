@@ -35,9 +35,9 @@ class ModelParams:
     The kind must be a ModelKind, not its string value (BadParameter).
     The parameter is beta for the accelerated model and gamma for MLA;
     DeGroot ignores it. It must be a finite real number (BadParameter, by
-    `net._check_real`), kept as given, so a numpy scalar sets the
-    precision of the roots. No range is enforced here: whether a
-    parameter value converges is decided by the analysis operations.
+    `net._check_real`) and is kept as the Python float it holds. No range
+    is enforced here: whether a parameter value converges is decided by
+    the analysis operations.
     """
 
     kind: ModelKind
@@ -45,7 +45,8 @@ class ModelParams:
 
     def __post_init__(self):
         _check_type(self.kind, ModelKind, "model kind")
-        _check_real(self.param, "model parameter", finite=True)
+        param = _check_real(self.param, "model parameter", finite=True)
+        object.__setattr__(self, "param", param)
 
     @classmethod
     def degroot(cls) -> "ModelParams":

@@ -78,21 +78,22 @@ def _check_int(value, name: str, least: int | None = None) -> int:
     return value
 
 
-def _check_real(value, name: str, finite: bool = False):
-    """value as given, so a numpy scalar keeps its precision; BadParameter
-    unless it is a bool, int or float, Python or numpy, that float() can
-    hold: the one rule for every real parameter. NaN and infinity pass
-    unless `finite`, which words the one message for them."""
+def _check_real(value, name: str, finite: bool = False) -> float:
+    """float(value), the one arithmetic of every real parameter; BadParameter
+    unless value is a bool, int or float, Python or numpy, that float() can
+    hold. NaN and infinity pass unless `finite`, which words the one
+    message for them."""
     if not isinstance(value, (int, float, np.bool_, np.integer, np.floating)):
         raise BadParameter(f"{name} must be a real number, got {_show(value)}")
     try:  # float() reads a longdouble past its range as infinite
-        if math.isinf(float(value)) and np.isfinite(value):
+        x = float(value)
+        if math.isinf(x) and np.isfinite(value):
             raise OverflowError
     except OverflowError:
         raise BadParameter(f"{name} lies beyond the float range") from None
-    if finite and not math.isfinite(value):
-        raise BadParameter(f"{name}={float(value)!r} must be a finite real number")
-    return value
+    if finite and not math.isfinite(x):
+        raise BadParameter(f"{name}={x!r} must be a finite real number")
+    return x
 
 
 def _new_array(make, size, name: str, value) -> np.ndarray:
@@ -104,10 +105,18 @@ def _new_array(make, size, name: str, value) -> np.ndarray:
         raise BadParameter(message) from None
 
 
-def _check_path(path) -> None:
+def _open(path, mode: str):
+    """open(path, mode) for a str, bytes or os.PathLike path (BadParameter
+    otherwise). An OSError keeps its errno, and so its subclass and
+    strerror, but names the path through `_show`: its own text would
+    repeat a long path whole."""
     # open() would also take an int (a bool too) as a file descriptor, and
     # close it: the caller's descriptor, or the process's stdout for 1
     _check_type(path, (str, bytes, os.PathLike), "path", "str, bytes or os.PathLike")
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, _show(path)) from None
 
 
 def _real_array(x, what: str) -> np.ndarray:
@@ -313,7 +322,8 @@ def make_ring(n: int, self_loop: float = 0.0) -> WeightedAdjacency:
     periodic ring (bipartite for even n, hence never primitive there).
     """
     n = _check_int(n, "ring size n", 3)
-    if not 0.0 <= _check_real(self_loop, "self_loop") < 1.0:
+    self_loop = _check_real(self_loop, "self_loop")
+    if not 0.0 <= self_loop < 1.0:
         raise BadParameter(f"self_loop must lie in [0, 1), got {_show(self_loop)}")
     off = (1.0 - self_loop) / 2.0
     I = _new_array(np.eye, n, "ring size n", n)
@@ -329,8 +339,7 @@ def write_matrix(A: WeightedAdjacency, path) -> None:
     value-exact.
     """
     _check_type(A, WeightedAdjacency, "network")
-    _check_path(path)
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         fh.write(f"{A.n}\n")
         np.savetxt(fh, A.weights, "%.17g")
 
@@ -342,8 +351,7 @@ def read_matrix(path) -> WeightedAdjacency:
     OSError on an unreadable path, ParseError (with the 1-based file
     line) on malformed or non-UTF-8 input, then the validate() errors.
     """
-    _check_path(path)
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         data = fh.read()
     try:
         lines = data.decode("utf-8").splitlines()

@@ -26,9 +26,9 @@ from .net import (
     ROW_SUM_TOL,
     WeightedAdjacency,
     _check_int,
-    _check_path,
     _check_type,
     _new_array,
+    _open,
     require_symmetric,
     validate,
 )
@@ -99,9 +99,8 @@ class TraceSummary:
 
     def write_csv(self, path) -> None:
         """Write `k,env_min,env_max` rows, one per step including k = 0."""
-        _check_path(path)
         columns = (np.arange(self.env_max.size), self.env_min, self.env_max)
-        with open(path, "w") as fh:
+        with _open(path, "w") as fh:
             fh.write("k,env_min,env_max\n")
             np.savetxt(fh, np.column_stack(columns), "%d,%.17g,%.17g")
 

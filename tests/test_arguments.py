@@ -189,6 +189,19 @@ def test_file_apis_leave_a_descriptor_open(f, tmp_path):
         os.close(fd)
 
 
+@pytest.mark.parametrize("f", FILE_APIS, ids=FILE_API_IDS)
+def test_file_apis_bound_an_os_error_and_keep_its_errno(f, tmp_path):
+    # open()'s own OSError would repeat the 100,000-character path whole
+    path = str(tmp_path / ("m" * 100_000))
+    with pytest.raises(OSError) as raw:
+        open(path, "rb")
+    with pytest.raises(OSError) as ei:
+        f(path)
+    assert type(ei.value) is type(raw.value)
+    assert ei.value.errno == raw.value.errno and ei.value.strerror == raw.value.strerror
+    assert len(str(ei.value)) < 300
+
+
 # every entry point that takes a real scalar, with the one rule applied to it
 SCALAR_ENTRY_POINTS = {
     "check_mla_convergence": lambda v: check_mla_convergence(SPEC4, v),
@@ -293,23 +306,19 @@ def test_a_network_derives_n_and_keeps_its_own_read_only_weights():
 @pytest.mark.parametrize(
     "call",
     [
-        # the criterion 2*gamma*lam_n overflows float16
-        lambda: check_mla_convergence(SPEC4, np.float16(40000.0)),
-        lambda: rho_ess_accelerated(SPEC4, np.float16(60000.0)),
-        # the contour kernel's b*b + |4c| overflows float16 and float32
-        lambda: lambda_hat_max(np.float16(0.9), np.float16(300.0)),
-        lambda: lambda_hat_max(0.5, np.float32(1e20)),
-        lambda: lambda_hat_max(np.array([0.5], dtype=np.float32), 1e20),
-        # numpy integers overflow, or cannot hold a Python int
-        lambda: lambda_hat_max(np.int64(100_000), np.int64(100_000)),
-        lambda: lambda_hat_max(2**64, np.int64(1)),
-        # a longdouble holds what float() cannot
+        # b*b + |4c| overflows the floats at |lambda| = 1, the spectrum's scale
+        lambda: check_mla_convergence(SPEC4, 1e200),
+        lambda: rho_ess_accelerated(SPEC4, 1e200),
+        # and at the largest modulus of a contour row, scalar or array
+        lambda: lambda_hat_max(0.5, 1e200),
+        lambda: lambda_hat_max(np.array([1e200]), 0.5),
+        # a longdouble is read as the float it holds
         lambda: check_mla_convergence(SPEC4, np.longdouble(1e300)),
     ],
-    ids=["mla-float16", "accelerated-float16", "contour-float16", "contour-float32",
-         "contour-float32-array", "contour-int64", "contour-python-int", "mla-longdouble"],
+    ids=["mla-float64", "accelerated-float64", "contour-float64",
+         "contour-float64-array", "mla-longdouble"],
 )
-def test_low_precision_parameters_raise_before_numpy_warns(call):
+def test_parameters_that_overflow_the_roots_raise_before_numpy_warns(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParameter, match="gives non-finite root coefficients"):

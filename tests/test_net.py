@@ -336,6 +336,14 @@ class TestMakeRing:
             got, want = make_ring(n, s).weights, ref.make_ring(n, s).weights
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("t", [np.float16, np.float32, np.longdouble])
+    def test_a_numpy_self_loop_builds_the_ring_of_its_float(self, t):
+        # (1 - s) / 2 taken in float32 would leave some row sums 2e-8 off 1
+        for s in np.linspace(0.0, 0.99, 100):
+            for n in (4, 7):
+                got = make_ring(n, t(s)).weights
+                assert got.tobytes() == make_ring(n, float(t(s))).weights.tobytes()
+
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
             make_ring(2, 0.0)

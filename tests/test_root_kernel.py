@@ -23,6 +23,8 @@ from consensuslab import (
     rho_ess,
     rho_ess_accelerated,
     rho_ess_mla,
+    simulate_trajectory,
+    summary,
 )
 from consensuslab.analysis import (
     _accelerated_coefficients,
@@ -194,8 +196,8 @@ def test_optimal_beta_maps_no_eigenvalue(monkeypatch, reads):
     assert radius_calls == [] and reads == {}
 
 
-# numpy scalars set the precision of the root sum and product, which the
-# roots then read as Python floats; Python bools and ints act as floats
+# every real parameter is read as the Python float it holds: numpy
+# scalars of any precision, bools and ints alike
 SCALAR_PARAMS = [
     t(p)
     for t in (np.float16, np.float32, np.longdouble, np.float64)
@@ -203,17 +205,25 @@ SCALAR_PARAMS = [
 ] + [np.int64(0), np.int64(1), np.int64(2), True, False]
 
 
+def rate_bits(spec, model):
+    """bits() of model_rate, or None where it raises NotConvergent."""
+    with contextlib.suppress(NotConvergent):
+        return bits(model_rate(spec, model))
+
+
 @pytest.mark.parametrize("param", SCALAR_PARAMS, ids=lambda p: f"{type(p).__name__}({p})")
 def test_numpy_scalar_parameters_match_reference(param, corpus20):
-    spectra = [spec for _, spec in corpus20] + [
-        eigendecompose_symmetric(make_ring(n, loop))
-        for n in (16, 17, 64)
-        for loop in (0.0, 0.1)
+    p = float(param)
+    networks = [A for A, _ in corpus20] + [
+        make_ring(n, loop) for n in (16, 17, 64) for loop in (0.0, 0.1)
     ]
-    for spec in spectra:
+    for A in networks:
+        spec = eigendecompose_symmetric(A)
         got = check_mla_convergence(spec, param)
-        want = ref.check_mla_convergence(spec, param)
+        want = ref.check_mla_convergence(spec, p)
         assert type(got.converges) is bool and type(got.gamma_in_range) is bool
+        assert type(got.criterion_ii_value) is float
+        assert type(got.limiting_eigenvalue_modulus) is float
         assert got.converges == want.converges
         assert bits(got.criterion_ii_value) == bits(want.criterion_ii_value)
         assert bits(got.limiting_eigenvalue_modulus) == bits(
@@ -223,13 +233,39 @@ def test_numpy_scalar_parameters_match_reference(param, corpus20):
             assert bits(rho_ess_mla(spec, param)) == bits(
                 want.limiting_eigenvalue_modulus
             )
-        assert bits(rho_ess_accelerated(spec, param)) == bits(
-            ref.rho_ess_accelerated(spec, param)
+        acc = ref.rho_ess_accelerated(spec, p)
+        assert bits(rho_ess_accelerated(spec, param)) == bits(acc)
+        assert rate_bits(spec, ModelParams.mla(param)) == (
+            bits(want.limiting_eigenvalue_modulus) if want.converges else None
         )
+        assert rate_bits(spec, ModelParams.accelerated(param)) == (
+            bits(acc) if rho_ess(spec) < 1.0 and acc < 1.0 else None
+        )
+        record = summary(spec, param)
+        assert type(record.gamma) is float
+        values = (record.n, *record.spectrum, *record[2:])
+        assert all(v is None or type(v) in (bool, int, float, str) for v in values)
+        assert all(type(v) is float for v in record.spectrum)
+        assert record == summary(spec, p)
+        x0 = np.linspace(-1.0, 1.0, A.n)
+        for make in (ModelParams.mla, ModelParams.accelerated):
+            got_states = simulate_trajectory(A, make(param), x0, 30)
+            want_states = ref.simulate_trajectory(A, make(p), x0, 30)
+            assert got_states.tobytes() == want_states.tobytes()
+    model = ModelParams.mla(param)
+    assert type(model.param) is float and bits(model.param) == bits(p)
+    assert model == ModelParams.mla(p)
+    lams = np.linspace(-1.0, 1.0, 21)
+    for t in (np.float16, np.float32, np.int64):
+        row = lams.astype(t)
+        want_row = [ref.lambda_hat_max(float(lam), p) for lam in row]
+        for gamma in (param, np.full(21, param)):
+            got_row = lambda_hat_max(row, gamma)
+            assert [bits(v) for v in got_row] == [bits(v) for v in want_row]
 
 
 def test_kernels_read_python_floats_whatever_the_parameter(monkeypatch):
-    # the walk converts a parameter's root sum and product once, so the
+    # every parameter is read as its Python float before the walk, so the
     # scalar kernels only ever see Python floats
     seen = []
 
