@@ -29,9 +29,8 @@ solve error `certificate_bound(n)` count as equal; the cancellation
 guard adds the input error the network checks allow.
 
 A verdict or rate pays for its reads and little else: the `Spectrum`
-settled its simple-dominant rule, its `certificate_bound(n)` and its end
-scale max(|lambda_1|, |lambda_n|) when it was built, and the analysis
-takes them from it instead of deriving them again on each call.
+settled its dominance rule, which bounds every modulus by `_MAX_MODULUS`
+where the overflow check sits, and `certificate_bound(n)` when built.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import ModelKind, ModelParams, _check_vector
+from .dynamics import ModelKind, ModelParams, _check_vector, _mean
 from .errors import (
     AssumptionViolated,
     BadParameter,
@@ -51,12 +50,11 @@ from .errors import (
     DimensionMismatch,
     NotConvergent,
 )
-from .net import WeightedAdjacency, _check_real, _check_type, require_symmetric
+from .net import (
+    WeightedAdjacency, _check_real, _check_type, _real_array, require_symmetric
+)
 from .spectral import (
-    Spectrum,
-    _contract_bound,
-    _require_simple_dominant,
-    rho_ess,
+    _MAX_MODULUS, Spectrum, _contract_bound, _require_simple_dominant, rho_ess
 )
 
 
@@ -182,10 +180,10 @@ def _check_roots(coefficients, lam: float, param: float, name: str) -> None:
     by `_check_real`) and the kernels' b*b + |4c| at the Python float
     lam = |lambda| is finite; a float overflows to infinity without a
     warning. |b| and |c| grow with |lambda|, so the largest |lambda| of a
-    spectrum or row decides for all."""
+    spectrum (at most `_MAX_MODULUS`) or row decides for all."""
     b, c = coefficients(lam, param)
     if not math.isfinite(b * b + abs(4.0 * c)):
-        _check_real(param, name, finite=True)
+        _check_real(param, name)
         raise BadParameter(
             f"{name}={param!r} at |lambda| = {lam!r} gives non-finite root coefficients"
         )
@@ -204,26 +202,25 @@ def _accelerated_coefficients(lam, beta):
 def lambda_hat_max(lam, gamma):
     """Larger modulus of the two MLA-induced eigenvalues (contour field).
 
-    Elementwise over broadcast lam and gamma, numbers or array-likes; a
-    float for scalar input, an empty array when either is empty. A scalar
-    must be a real number (`net._check_real`) and an array must hold bool,
-    integer or float values; both are read as float64. BadParameter
-    otherwise, or when the two do not broadcast.
+    Elementwise over broadcast lam and gamma, each a number (`_check_real`)
+    or a list, tuple, range or ndarray read as `validate` reads a matrix
+    (`_real_array`), all finite: a float for a 0-d result, an empty array
+    when either is empty. BadParameter otherwise, or if they do not broadcast.
     """
     args = []
+    for x, name in ((lam, "lam"), (gamma, "gamma")):
+        if not isinstance(x, (list, tuple, range, np.ndarray)):
+            args.append(_check_real(x, name))
+            continue
+        a = _real_array(x, f"{name} must be an array")
+        if not np.isfinite(a).all():
+            raise BadParameter(f"{name} has a non-finite entry")
+        args.append(a)
     try:
-        for x, name in ((lam, "lam"), (gamma, "gamma")):
-            a = np.asarray(x)  # a ragged sequence raises ValueError
-            if a.ndim == 0 and not isinstance(x, np.ndarray):
-                _check_real(x, name)
-            elif a.dtype.kind not in "biuf":
-                raise BadParameter(f"{name} must be real numbers, got {a.dtype} values")
-            args.append(a.astype(float, copy=False))
         np.broadcast_shapes(*map(np.shape, args))
     except ValueError as e:
         raise BadParameter(f"lam and gamma do not broadcast: {e}") from None
-    # the largest modulus of each
-    tops = (float(abs(a).max(initial=0.0)) for a in args)
+    tops = (float(np.max(np.abs(a), initial=0.0)) for a in args)
     _check_roots(_mla_coefficients, *tops, "gamma")
     out = _max_root_modulus(*_mla_coefficients(*args))
     return float(out) if out.ndim == 0 else out
@@ -240,11 +237,10 @@ def _limiting_modulus(spec: Spectrum, param: float, coefficients, name: str) -> 
     lambda_2 side while its last modulus may still round up to the
     running maximum (see _WALK_SCALE), then the same walk from the
     lambda_n side, never past where the first stopped. The result is the
-    maximum over the whole spectrum, bit for bit. param is a Python float;
-    the overflow check reads the spectrum's end scale.
+    maximum over the whole spectrum, bit for bit, for a Python float param.
     """
     _require_simple_dominant(spec)
-    _check_roots(coefficients, spec._scale, param, name)
+    _check_roots(coefficients, _MAX_MODULUS, param, name)
     w = spec._floats
     n = len(w)
     b, c = coefficients(w[0], param)
@@ -364,7 +360,7 @@ def consensus_value(A: WeightedAdjacency, spec: Spectrum, x0) -> float:
     _require_simple_dominant(spec)
     if len(spec._floats) != A.n:
         raise DimensionMismatch(f"spectrum of {len(spec._floats)} for n = {A.n}")
-    return float(_check_vector(A, x0, "x0").mean())
+    return _mean(_check_vector(A, x0, "x0"))
 
 
 def _optimum_radius(spec: Spectrum) -> float:

@@ -45,8 +45,7 @@ class ModelParams:
 
     def __post_init__(self):
         _check_type(self.kind, ModelKind, "model kind")
-        param = _check_real(self.param, "model parameter", finite=True)
-        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "param", _check_real(self.param, "model parameter"))
 
     @classmethod
     def degroot(cls) -> "ModelParams":
@@ -70,6 +69,13 @@ def _check_vector(A: WeightedAdjacency, x, name: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise BadParameter(f"{name} has a non-finite entry")
     return x
+
+
+def _mean(x: np.ndarray) -> float:
+    """x.mean() of a finite vector, or (x / n).sum() where its sum overflows."""
+    with np.errstate(over="ignore"):
+        mean = float(x.mean())
+    return mean if np.isfinite(mean) else float((x / x.size).sum())
 
 
 def _advance(model: ModelParams, AX, X_prev, AX_prev):

@@ -78,11 +78,11 @@ def _check_int(value, name: str, least: int | None = None) -> int:
     return value
 
 
-def _check_real(value, name: str, finite: bool = False) -> float:
+def _check_real(value, name: str) -> float:
     """float(value), the one arithmetic of every real parameter; BadParameter
     unless value is a bool, int or float, Python or numpy, that float() can
-    hold. NaN and infinity pass unless `finite`, which words the one
-    message for them."""
+    hold and that is finite: NaN and infinity get the one message
+    "<name>=<value> must be a finite real number"."""
     if not isinstance(value, (int, float, np.bool_, np.integer, np.floating)):
         raise BadParameter(f"{name} must be a real number, got {_show(value)}")
     try:  # float() reads a longdouble past its range as infinite
@@ -91,7 +91,7 @@ def _check_real(value, name: str, finite: bool = False) -> float:
             raise OverflowError
     except OverflowError:
         raise BadParameter(f"{name} lies beyond the float range") from None
-    if finite and not math.isfinite(x):
+    if not math.isfinite(x):
         raise BadParameter(f"{name}={x!r} must be a finite real number")
     return x
 

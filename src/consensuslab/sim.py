@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import ModelParams, _check_vector, _states
+from .dynamics import ModelParams, _check_vector, _mean, _states
 from .errors import InsufficientData, NormalizationFailed, NotConvergent
 from .net import (
     ROW_SUM_TOL,
@@ -190,9 +190,8 @@ def fit_rate(
     """
     require_symmetric(A)
     traj = simulate_trajectory(A, model, x0, steps)
-    x_inf = traj[0].mean()
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(traj - x_inf, axis=1)
+        norms = np.linalg.norm(traj - _mean(traj[0]), axis=1)
     if not np.isfinite(norms).all():
         k = np.argmin(np.isfinite(norms))
         raise NotConvergent(f"the distance to consensus overflows at step {k}")

@@ -9,7 +9,7 @@ bit-identical for a fixed numpy/BLAS build and BLAS thread count.
 
 A `Spectrum` settles when it is built what every analysis call would
 otherwise derive again: the simple-dominant rule (`_dominance_fault`),
-`certificate_bound(n)` and the end scale max(|lambda_1|, |lambda_n|).
+which holds the spectrum to [-1, 1], and `certificate_bound(n)`.
 
 Spectra of the 2n-by-2n stacked iteration matrix are never computed with a
 general eigensolver. They come from the closed-form quadratic mapping in
@@ -63,9 +63,10 @@ def _contract_bound(n: int) -> float:
 
 
 _EPS = float(np.finfo(float).eps)
-# a leading eigenvalue this far from 1 is not from a row-stochastic matrix
-# at all (a hand-built spectrum): an input guard, not a rounding bound
+# a leading eigenvalue this far from 1, or a smallest this far below -1, is
+# from no row-stochastic matrix (a hand-built spectrum): an input guard
 _DOMINANT_ONE_TOL = 1e-8
+_MAX_MODULUS = 1.0 + _DOMINANT_ONE_TOL  # rounded down: the largest modulus admitted
 # each eigenvector's sign is set by its first entry above this: the solve
 # error certificate_bound(n) stays below it up to n of about 2.8e6, so an
 # entry that is zero but for rounding never sets the sign
@@ -90,8 +91,7 @@ class Spectrum:
     kept read-only (a writable input is copied) beside what construction
     derives from them once, so none of it can go stale: `_floats`, the
     Python floats `analysis` reads; `_simple`, whether they meet the
-    simple-dominant rule; `_bound`, `certificate_bound(n)`; and `_scale`,
-    max(|lambda_1|, |lambda_n|), the largest modulus of the sorted values.
+    simple-dominant rule; and `_bound`, `certificate_bound(n)`.
     """
 
     eigenvalues: np.ndarray
@@ -101,7 +101,6 @@ class Spectrum:
     _floats: tuple[float, ...] = field(init=False, repr=False)
     _simple: bool = field(init=False, repr=False)
     _bound: float = field(init=False, repr=False)
-    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = self.eigenvalues
@@ -127,7 +126,6 @@ class Spectrum:
         object.__setattr__(self, "_floats", floats)
         object.__setattr__(self, "_simple", _dominance_fault(floats) is None)
         object.__setattr__(self, "_bound", certificate_bound(len(floats)))
-        object.__setattr__(self, "_scale", max(abs(floats[0]), abs(floats[-1])))
 
 
 def eigendecompose_symmetric(A: WeightedAdjacency) -> Spectrum:
@@ -186,16 +184,22 @@ def _dominance_fault(w: tuple[float, ...]) -> AssumptionViolated | None:
     """The error a spectrum w breaks the simple-dominant rule with, or None.
 
     AssumptionViolated when the leading eigenvalue is more than 1e-8 from
-    1, as no row-stochastic spectrum is; DominantNotSimple when the second
-    is within `_contract_bound(n)` of 1, hand-built spectra included: a
-    network that is reducible, or within the input error the network
-    checks allow of one (a ring of self-loop 0.1 from n = 30,001, gap
-    1.97e-8 against 3.01e-8; n = 25,000 passes, 2.84e-8 against 2.51e-8).
-    Python floats: a float32 spectrum would round 1 minus the bound to 1.
+    1 or the smallest more than 1e-8 below -1, as in no row-stochastic
+    spectrum; DominantNotSimple when the second is within
+    `_contract_bound(n)` of 1, hand-built spectra included: a network that
+    is reducible, or within the input error the network checks allow of
+    one (a ring of self-loop 0.1 from n = 30,001, gap 1.97e-8 against
+    3.01e-8; n = 25,000 passes, 2.84e-8 against 2.51e-8). Python floats:
+    a float32 spectrum would round 1 minus the bound to 1.
     """
     if abs(w[0] - 1.0) > _DOMINANT_ONE_TOL:
         return AssumptionViolated(
             f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
+            "row-stochastic network spectrum"
+        )
+    if w[-1] + 1.0 < -_DOMINANT_ONE_TOL:
+        return AssumptionViolated(
+            f"smallest eigenvalue {w[-1]!r} is below -1; input is not a valid "
             "row-stochastic network spectrum"
         )
     if len(w) >= 2 and w[1] >= 1.0 - (bound := _contract_bound(len(w))):

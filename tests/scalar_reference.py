@@ -137,11 +137,17 @@ def rho_ess_accelerated(spec, beta: float) -> float:
 
 def dominance_error(eigenvalues):
     """(class, message) of the error every analysis call raises on these
-    eigenvalues for want of a simple dominant eigenvalue 1, or None."""
+    eigenvalues for want of a simple dominant eigenvalue 1 with the rest
+    in [-1, 1), or None. Both ends may miss by 1e-8, the input guard."""
     w = [float(x) for x in eigenvalues]
     if abs(w[0] - 1.0) > 1e-8:
         return AssumptionViolated, (
             f"dominant eigenvalue {w[0]!r} is not 1; input is not a valid "
+            "row-stochastic network spectrum"
+        )
+    if w[-1] < -1.0 and abs(w[-1] + 1.0) > 1e-8:
+        return AssumptionViolated, (
+            f"smallest eigenvalue {w[-1]!r} is below -1; input is not a valid "
             "row-stochastic network spectrum"
         )
     bound = _contract_bound(len(w))

@@ -1,6 +1,7 @@
 import cmath
 import collections
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -317,11 +318,12 @@ class TestParameterGuards:
             lambda_hat_max(np.array([0.0, lam]), 0.5)
 
     def test_overflow_is_found_at_the_largest_eigenvalue(self):
-        # |gamma * lam| peaks at the smallest eigenvalue here, not at 1
+        # an eigenvalue below -1 is no stochastic spectrum's, so the largest
+        # modulus a verdict reads is 1 + 1e-8, where the overflow check sits
         spec = synthetic_spectrum([1.0, 0.5, -1e200])
-        with pytest.raises(BadParameter):
+        with pytest.raises(AssumptionViolated, match=r"^smallest eigenvalue -1e\+200 "):
             check_mla_convergence(spec, 0.5)
-        with pytest.raises(BadParameter):
+        with pytest.raises(AssumptionViolated, match=r"^smallest eigenvalue -1e\+200 "):
             rho_ess_accelerated(spec, 0.5)
 
     @pytest.mark.parametrize(
@@ -374,6 +376,22 @@ class TestSpectrumGuard:
         with pytest.raises(AssumptionViolated, match=r"^dominant eigenvalue 0\.5 is not 1"):
             radius(synthetic_spectrum([0.5, 0.2, -0.1]), 0.5)
 
+    def test_an_eigenvalue_below_minus_one_is_no_network_spectrum(self):
+        # rho_ess read its radius 5 as 1.0, and the MLA rate came back 1.5811
+        spec = synthetic_spectrum([1.0, 0.5, -5.0])
+        calls = [
+            lambda: rho_ess(spec),
+            lambda: check_mla_convergence(spec, 0.5),
+            lambda: rho_ess_accelerated(spec, 1.2),
+            lambda: model_rate(spec, ModelParams.mla(0.5)),
+            lambda: summary(spec),
+        ]
+        for call in calls:
+            with pytest.raises(
+                AssumptionViolated, match=r"^smallest eigenvalue -5\.0 is below -1; "
+            ):
+                call()
+
     def test_every_radius_and_the_consensus_value_need_dominant_one(self):
         spec = synthetic_spectrum([0.5, 0.2, -0.3])
         calls = [
@@ -388,7 +406,7 @@ class TestSpectrumGuard:
 
 
 def test_calls_derive_nothing_the_spectrum_settled(monkeypatch):
-    # the rule, certificate_bound(n) and the end scale are settled when the
+    # the rule and certificate_bound(n) are settled when the
     # spectrum is built: a verdict or rate evaluates no n-scaled bound and
     # never checks the rule again, at any name that binds them
     spec = eigendecompose_symmetric(make_ring(16, 0.1))
@@ -511,11 +529,39 @@ class TestLambdaHatMax:
         assert lambda_hat_max(0.1, [0.5]).tobytes() == lambda_hat_max(
             0.1, np.array([0.5])
         ).tobytes()
+        want = lambda_hat_max(np.arange(3.0), 0.5)
+        assert lambda_hat_max(range(3), 0.5).tobytes() == want.tobytes()
+        got = lambda_hat_max(np.array(0.5), np.array(1.5))
+        assert type(got) is float and got == lambda_hat_max(0.5, 1.5)
+
+    @pytest.mark.parametrize("lam", [[2**65], [0.5, 2**65]])
+    def test_an_array_entry_reads_as_the_scalar_does(self, lam):
+        # an int past int64 makes an object array, which converts as validate's
+        got = lambda_hat_max(lam, 0.5)
+        assert [x.hex() for x in got.tolist()] == [
+            lambda_hat_max(x, 0.5).hex() for x in lam
+        ]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((float("nan"), 0.5), "lam=nan must be a finite real number"),
+            ((0.5, -math.inf), "gamma=-inf must be a finite real number"),
+            (([0.5, float("nan")], 0.5), "lam has a non-finite entry"),
+            ((0.5, np.array([[0.5], [np.inf]])), "gamma has a non-finite entry"),
+            (([0.5, None], 0.5), "lam has a non-finite entry"),
+            (([[0.1], [0.2, 0.3]], 0.5), "lam must be an array of real numbers: "),
+        ],
+        ids=["nan", "inf", "nan-entry", "inf-entry", "none-entry", "ragged"],
+    )
+    def test_each_input_is_named_in_the_message(self, args, message):
+        with pytest.raises(BadParameter, match=f"^{re.escape(message)}"):
+            lambda_hat_max(*args)
 
     @pytest.mark.parametrize(
         "args",
         [(["x"], 0.5), (0.5, "x"), (None, 0.5), (0.5, 1j), (Fraction(1, 2), 0.5),
-         (np.array([0.5], dtype=object), 0.5), ([[0.1], [0.2, 0.3]], 0.5)],
+         (np.array([0.5j], dtype=object), 0.5), ([[0.1], [0.2, 0.3]], 0.5)],
     )
     def test_input_that_is_not_real(self, args):
         with pytest.raises(BadParameter):

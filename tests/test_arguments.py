@@ -48,6 +48,7 @@ from consensuslab import (
     rho_ess_mla,
     run_batch,
     simulate_trajectory,
+    summary,
     validate,
     write_matrix,
 )
@@ -339,7 +340,8 @@ def test_a_longdouble_past_the_float_range_is_beyond_it():
 FINITE_ENTRY_POINTS = {
     **{name: SCALAR_ENTRY_POINTS[name] for name in (
         "check_mla_convergence", "rho_ess_mla", "rho_ess_accelerated",
-        "ModelParams.mla", "ModelParams.accelerated", "lambda_hat_max-gamma")},
+        "ModelParams.mla", "ModelParams.accelerated", "lambda_hat_max-lam",
+        "lambda_hat_max-gamma", "make_ring-self_loop")},
     "ModelParams": lambda v: ModelParams(ModelKind.MLA, v),
     "model_rate-mla": lambda v: model_rate(SPEC4, ModelParams.mla(v)),
     "model_rate-accelerated": lambda v: model_rate(SPEC4, ModelParams.accelerated(v)),
@@ -498,3 +500,103 @@ def test_what_numpy_refuses_to_convert_gets_a_bounded_message(call, error, messa
         with pytest.raises(error, match=f"^{re.escape(message)}$") as ei:
             call()
     assert len(str(ei.value)) < 300
+
+
+@pytest.mark.parametrize("x0", [[1e308] * 4, [1.7e308, 1.7e308, 0, 0]], ids=["1e308", "1.7e308"])
+def test_a_mean_past_the_float_range_is_taken_without_overflow(x0):
+    # the sum of the states overflows, their mean does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert consensus_value(A4, SPEC4, x0) == sum(x / 4 for x in x0)
+        with pytest.raises(ConsensusLabError):
+            fit_rate(A4, MLA, x0, 30)
+
+
+# the one contract table: every public argument position, each called with
+# the others valid, against one list of hostile values
+CONTRACT_POSITIONS = {
+    "ModelParams-kind": lambda v: ModelParams(v, 0.5),
+    "ModelParams-param": lambda v: ModelParams(ModelKind.MLA, v),
+    "ModelParams.mla": ModelParams.mla,
+    "ModelParams.accelerated": ModelParams.accelerated,
+    "SimConfig-model": lambda v: SimConfig(v, 3, 2, 0),
+    "SimConfig-steps": lambda v: SimConfig(MLA, v, 2, 0),
+    "SimConfig-runs": lambda v: SimConfig(MLA, 3, v, 0),
+    "SimConfig-seed": lambda v: SimConfig(MLA, 3, 2, v),
+    "run_batch-A": lambda v: run_batch(v, SimConfig(MLA, 3, 2, 0)),
+    "run_batch-cfg": lambda v: run_batch(A4, v),
+    "write_csv-path": FILE_APIS[2],
+    "simulate_trajectory-A": lambda v: simulate_trajectory(v, MLA, X4, 3),
+    "simulate_trajectory-model": lambda v: simulate_trajectory(A4, v, X4, 3),
+    "simulate_trajectory-x0": lambda v: simulate_trajectory(A4, MLA, v, 3),
+    "simulate_trajectory-steps": lambda v: simulate_trajectory(A4, MLA, X4, v),
+    "fit_rate-A": lambda v: fit_rate(v, MLA, X4, 30),
+    "fit_rate-model": lambda v: fit_rate(A4, v, X4, 30),
+    "fit_rate-x0": lambda v: fit_rate(A4, MLA, v, 30),
+    "fit_rate-steps": lambda v: fit_rate(A4, MLA, X4, v),
+    "random_symmetric_stochastic-n": lambda v: random_symmetric_stochastic(v, 0),
+    "random_symmetric_stochastic-seed": lambda v: random_symmetric_stochastic(4, v),
+    "validate": validate,
+    "make_ring-n": lambda v: make_ring(v, 0.1),
+    "make_ring-self_loop": lambda v: make_ring(4, v),
+    "read_matrix": FILE_APIS[0],
+    "write_matrix-A": lambda v: write_matrix(v, "m.txt"),
+    "write_matrix-path": FILE_APIS[1],
+    "analyze_structure": analyze_structure,
+    "eigendecompose_symmetric": eigendecompose_symmetric,
+    "Spectrum-eigenvalues": Spectrum,
+    "Spectrum-eigenvectors": lambda v: Spectrum(W, v),
+    "rho_ess": rho_ess,
+    "check_mla_convergence-spec": lambda v: check_mla_convergence(v, 0.5),
+    "check_mla_convergence-gamma": lambda v: check_mla_convergence(SPEC4, v),
+    "rho_ess_mla-spec": lambda v: rho_ess_mla(v, 0.5),
+    "rho_ess_mla-gamma": lambda v: rho_ess_mla(SPEC4, v),
+    "rho_ess_accelerated-spec": lambda v: rho_ess_accelerated(v, 1.2),
+    "rho_ess_accelerated-beta": lambda v: rho_ess_accelerated(SPEC4, v),
+    "model_rate-spec": lambda v: model_rate(v, MLA),
+    "model_rate-model": lambda v: model_rate(SPEC4, v),
+    "consensus_value-A": lambda v: consensus_value(v, SPEC4, X4),
+    "consensus_value-spec": lambda v: consensus_value(A4, v, X4),
+    "consensus_value-x0": lambda v: consensus_value(A4, SPEC4, v),
+    "optimal_gamma": optimal_gamma,
+    "optimal_beta": optimal_beta,
+    "improving_gamma_exists": improving_gamma_exists,
+    "lambda_hat_max-lam": lambda v: lambda_hat_max(v, 0.5),
+    "lambda_hat_max-gamma": lambda v: lambda_hat_max(0.5, v),
+    "summary-spec": summary,
+    "summary-gamma": lambda v: summary(SPEC4, v),
+}
+# no size the machine cannot hold and no horizon or run count that loops long
+HOSTILE = {
+    "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "-1": -1, "0": 0,
+    "10**400": 10**400, "2**65": 2**65, "str": "x", "numeric-str": "0.5", "None": None,
+    "list": [0.5], "empty-list": [], "2x2": np.full((2, 2), 0.5), "complex": 1j,
+    "float16": np.float16(0.5), "longdouble": np.longdouble(0.5), "True": True,
+    "Fraction": Fraction(1, 2), "Decimal": Decimal("0.5"), "object": object(),
+    "list-nan": [float("nan")], "object-2**65": np.array([2**65], dtype=object),
+    "ragged": [[1, 0], [1]], "bytes": b"x", "dict": {}, "-1e-300": -1e-300,
+    "1e308": 1e308, "x0-1e308": [1e308] * 4,
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@pytest.mark.parametrize("value", HOSTILE.values(), ids=HOSTILE)
+@pytest.mark.parametrize("position", CONTRACT_POSITIONS)
+def test_every_argument_position_returns_or_raises_the_library_error(
+    position, value, contract_dir, monkeypatch
+):
+    # the file APIs take "x", "0.5" and b"x" as paths, so they write there
+    monkeypatch.chdir(contract_dir)
+    allowed = ConsensusLabError
+    if position in ("read_matrix", "write_matrix-path", "write_csv-path"):
+        allowed = (ConsensusLabError, OSError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            CONTRACT_POSITIONS[position](value)
+        except allowed as e:
+            assert len(str(e)) < 300

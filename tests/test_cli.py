@@ -469,11 +469,13 @@ class TestPeriodicRingVerdicts:
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_every_labelling(self, n, tmp_path, capsys):
-        path = tmp_path / "ring.txt"
-        out = str(tmp_path / "env.csv")
-        for A in relabelled_rings(n, 60, seed=n):
+        # every file written is a new one: truncating a written file can
+        # cost tens of milliseconds on some filesystems
+        for i, A in enumerate(relabelled_rings(n, 60, seed=n)):
+            path = tmp_path / f"ring{i}.txt"
             write_matrix(A, path)
             for model in (["degroot"], ["accelerated", "--param", "1.2"]):
+                out = str(tmp_path / f"env{i}-{model[0]}.csv")
                 argv = ["simulate", "--input", str(path), "--model", *model,
                         "--steps", "5", "--runs", "2", "--out", out]
                 assert main(argv) == 0

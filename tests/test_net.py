@@ -384,15 +384,18 @@ class TestMatrixIO:
         object.__setattr__(unchecked, "weights", odd)
         object.__setattr__(unchecked, "n", 3)
         nets += [a for a, _ in corpus20[:5]] + [unchecked]
-        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
-        for A in nets:
+        # a new file for each write: truncating a written one can cost more
+        # than the write on some filesystems
+        for i, A in enumerate(nets):
+            got, want = tmp_path / f"got{i}.txt", tmp_path / f"want{i}.txt"
             write_matrix(A, got)
             ref.write_matrix(A, want)
             assert got.read_bytes() == want.read_bytes()
 
     def test_round_trip_is_value_exact(self, tmp_path, corpus20):
-        p = tmp_path / "m.txt"
-        for A in [make_ring(4, 0.1), make_ring(7, 1 / 3)] + [a for a, _ in corpus20[:5]]:
+        for i, A in enumerate([make_ring(4, 0.1), make_ring(7, 1 / 3)]
+                              + [a for a, _ in corpus20[:5]]):
+            p = tmp_path / f"m{i}.txt"  # a new file each time, as above
             write_matrix(A, p)
             B = read_matrix(p)
             assert np.array_equal(A.weights, B.weights)

@@ -167,6 +167,9 @@ class TestSpectrumContract:
             # lambda_1 = 1 +- 1e-8, each +- 1 ulp
             *(np.array([np.nextafter(one, toward), 0.5, -0.3])
               for one in (1.0 + 1e-8, 1.0 - 1e-8) for toward in (0.0, one, 2.0)),
+            # lambda_n = -1 - 1e-8 +- 1 ulp
+            *(np.array([1.0, 0.5, np.nextafter(-1.0 - 1e-8, toward)])
+              for toward in (-2.0, -1.0 - 1e-8, 0.0)),
             # lambda_2 = 1 - _contract_bound(n) +- 1 ulp
             *(np.array([1.0, np.nextafter(1.0 - _contract_bound(n), toward),
                         *np.linspace(0.5, -0.3, n - 2)])
@@ -179,7 +182,8 @@ class TestSpectrumContract:
             np.array([1.0, 1.0]),
             np.array([1.0 - 2e-8, 0.5]),
         ],
-        ids=[*(f"lambda1-{i}" for i in range(6)), *(f"lambda2-{i}" for i in range(6)),
+        ids=[*(f"lambda1-{i}" for i in range(6)), *(f"lambdan-{i}" for i in range(3)),
+             *(f"lambda2-{i}" for i in range(6)),
              "float32", "n1", "n1-off", "n2-periodic", "n2-reducible", "n2-off"],
     )
     def test_rule_edges_raise_as_every_call_once_decided(self, w):
@@ -206,18 +210,17 @@ class TestSpectrumContract:
 
     def test_settled_facts_follow_the_eigenvalues(self, ring4_loops_spectrum):
         def settled(spec):
-            return spec._floats, spec._simple, spec._bound, spec._scale
+            return spec._floats, spec._simple, spec._bound
 
         spec = ring4_loops_spectrum
         w = np.array([1.0, 1.0, 0.2, -0.95])
         replaced = dataclasses.replace(spec, eigenvalues=w)
         assert settled(replaced) == settled(Spectrum(w))
-        assert settled(replaced) == (tuple(w.tolist()), False, certificate_bound(4), 1.0)
+        assert settled(replaced) == (tuple(w.tolist()), False, certificate_bound(4))
         for s in (spec, replaced, Spectrum(np.array([1.0, 0.5, -2.0]))):
             assert settled(pickle.loads(pickle.dumps(s))) == settled(s)
         assert settled(spec) == (tuple(spec.eigenvalues.tolist()), True,
-                                 certificate_bound(4), abs(float(spec.eigenvalues[0])))
-        assert Spectrum(np.array([1.0, 0.5, -2.0]))._scale == 2.0
+                                 certificate_bound(4))
 
     def test_solver_output_is_not_copied(self, ring4_loops):
         vals = eigendecompose_symmetric(ring4_loops).eigenvalues
