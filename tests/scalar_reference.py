@@ -132,7 +132,13 @@ def check_mla_convergence(spec, gamma: float) -> ConvergenceVerdict:
 
 
 def rho_ess_accelerated(spec, beta: float) -> float:
-    return float(np.max(non_dominant_moduli(spec, beta, map_eigenvalue_accelerated)))
+    """The largest non-dominant modulus, and at least 1 wherever an
+    eigenvalue but the first lies within certificate_bound(n) of modulus 1:
+    lam = -1 maps to the root -1 for every beta."""
+    w = spec.eigenvalues
+    radius = float(np.max(non_dominant_moduli(spec, beta, map_eigenvalue_accelerated)))
+    periodic = np.max(np.abs(w[1:]), initial=0.0) >= 1.0 - certificate_bound(w.size)
+    return max(radius, 1.0) if periodic else radius
 
 
 def dominance_error(eigenvalues):

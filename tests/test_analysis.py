@@ -39,7 +39,7 @@ from consensuslab import (
     validate,
 )
 from consensuslab import spectral
-from conftest import bipartite_with_loops
+from conftest import bipartite_with_loops, relabelled_rings
 from scalar_reference import augmented_matrix, roots_in_unit_disk_via_halfplane
 
 GAMMA_STAR = 0.8541019662496845  # 2.5 * (sqrt(1.8) - 1) for rho = 0.8
@@ -476,6 +476,19 @@ class TestModelRate:
         ):
             with pytest.raises(NotConvergent):
                 model_rate(spec, model)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_accelerated_radius_is_never_below_one_on_a_periodic_ring(self, n):
+        # lam = -1 maps to the root -1 for every beta, but the computed
+        # lam_n may round its modulus below 1: 0.9999999999999998 on the
+        # pure ring 8 at beta = 1.2 before rho_ess's rule applied here too
+        for A in relabelled_rings(n, 60, seed=n):
+            spec = eigendecompose_symmetric(A)
+            for beta in (0.5, 1.2, 1.9):
+                radius = rho_ess_accelerated(spec, beta)
+                assert radius >= 1.0
+                with pytest.raises(NotConvergent, match=re.escape(repr(radius))):
+                    model_rate(spec, ModelParams.accelerated(beta))
 
     def test_parameters_outside_the_convergent_range(self, ring4_loops_spectrum):
         # beta = 2.5 puts the root product 1.5 outside the unit disk

@@ -194,7 +194,7 @@ DIGESTS = {
         "bc9e6ad7e45e2cb41ac82a5da67042c279812ed810c86b6849a2f17fd11d7a62"
     ),
     "model_rate_accelerated[forms]": (
-        "ffb86d04ed1e75f6f0206eb7e304244ea30ed7d53bb2456361c6a1213e8251a0"
+        "e98433e52612be3caf7435012aa6d8172f05c8c1d66a7c7545e77fccb1b852a2"
     ),
     "model_rate_accelerated[random]": (
         "8d383719fd5c0fd50ff556d2182c8a98eefe6f7991ef99f6d6d8645cc7d39ba1"
@@ -218,7 +218,7 @@ DIGESTS = {
         "8cfcf818dd71710258a330dc1da039eebb4ab2332a317a571228eaafebf838ba"
     ),
     "rho_ess_accelerated[forms]": (
-        "004bdc56de7ad101d81e48b80b9c4672d68960cb090063864963c58e1077f706"
+        "f793ce2b62e8f9f94cc2f57587136e4b864ea4e084381584a93689cf1e6e69ec"
     ),
     "rho_ess_accelerated[random]": (
         "601978a6dfa136fd1ff24fe8cce6a32c990c05e844e84ea145f08bf2a1c6b02a"
