@@ -317,8 +317,7 @@ def rho_ess_mla(spec: Spectrum, gamma: float) -> float:
 
 def rho_ess_accelerated(spec: Spectrum, beta: float) -> float:
     """Max modulus over non-dominant accelerated-model eigenvalues at beta,
-    and never below 1 where `rho_ess` reads 1: lam = -1 maps to the root -1
-    for every beta, whatever the computed lam_n rounds the root to.
+    and at least 1 where `rho_ess` is 1, as lam = -1 maps to the root -1.
 
     Raises as `check_mla_convergence` does on the spectrum and beta.
     """
@@ -330,20 +329,17 @@ def rho_ess_accelerated(spec: Spectrum, beta: float) -> float:
 
 def model_rate(spec: Spectrum, model: ModelParams) -> float:
     """Rate of the model on the network: its iteration's essential radius,
-    `rho_ess` for DeGroot, `rho_ess_accelerated` and `rho_ess_mla`.
+    `rho_ess` (DeGroot), `rho_ess_accelerated` or `rho_ess_mla`.
 
     Raises NotConvergent when the model never settles (MLA decided by
     `check_mla_convergence`, the others by a radius of 1 or more, as on a
-    periodic network) and DominantNotSimple on a reducible network, the
-    identity included.
+    periodic network) and DominantNotSimple on a reducible network.
     """
     _check_type(model, ModelParams, "model")
     if model.kind is ModelKind.MLA:
         return rho_ess_mla(spec, model.param)
-    if model.kind is ModelKind.ACCELERATED:
-        rate = rho_ess_accelerated(spec, model.param)
-    else:
-        rate = rho_ess(spec)
+    accelerated = model.kind is ModelKind.ACCELERATED
+    rate = rho_ess_accelerated(spec, model.param) if accelerated else rho_ess(spec)
     if not rate < 1.0:
         raise NotConvergent(
             f"{model.kind.value} averaging does not converge "

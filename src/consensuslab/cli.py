@@ -22,7 +22,6 @@ from .errors import (
     BadParameter,
     ConsensusLabError,
     DominantNotSimple,
-    InsufficientData,
     NotConvergent,
     ParseError,
 )
@@ -172,23 +171,16 @@ def cmd_simulate(args, parser) -> int:
     print(f"initial envelope width: {_HUMAN % width0}")
     print(f"final envelope width:   {_HUMAN % width_end}")
     try:
-        rho = analysis.model_rate(eigendecompose_symmetric(A), model)
+        fit = sim.fit_rate(A, model, sim._initial_state(args.seed, 0, A.n), args.steps)
     except (NotConvergent, DominantNotSimple):
         # a reducible network never reaches one common value either
         print("model not convergent on this network; no rate fit")
-        return 0
     except ConsensusLabError as e:
-        print(f"rate fit skipped: {e}")
-        return 0
-    x0 = sim._initial_state(args.seed, 0, A.n)
-    try:
-        fit = sim.fit_rate(A, model, x0, args.steps)
-    except InsufficientData as e:
         print(f"rate fit skipped: {e}")
     else:
         print(
             f"fitted decay rate: {_HUMAN % fit.fitted_rate} "
-            f"(theory {_HUMAN % rho}, r^2 {_HUMAN % fit.r_squared}, "
+            f"(theory {_HUMAN % fit.model_rate}, r^2 {_HUMAN % fit.r_squared}, "
             f"window {fit.window[0]}..{fit.window[1]})"
         )
     return 0
@@ -321,7 +313,3 @@ def main(argv=None) -> int:
     except ConsensusLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

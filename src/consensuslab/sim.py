@@ -20,6 +20,7 @@ from itertools import islice
 
 import numpy as np
 
+from .analysis import model_rate
 from .dynamics import ModelParams, _check_vector, _mean, _states
 from .errors import InsufficientData, NormalizationFailed, NotConvergent
 from .net import (
@@ -29,9 +30,9 @@ from .net import (
     _check_type,
     _new_array,
     _open,
-    require_symmetric,
     validate,
 )
+from .spectral import eigendecompose_symmetric
 
 _MASK64 = (1 << 64) - 1
 # random_symmetric_stochastic scales until every row sums to 1 within a
@@ -107,11 +108,12 @@ class TraceSummary:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares geometric decay rate over a trajectory window."""
+    """Least-squares geometric decay rate over a window, and its `model_rate`."""
 
     fitted_rate: float
     r_squared: float
     window: tuple[int, int]
+    model_rate: float
 
 
 def run_batch(A: WeightedAdjacency, cfg: SimConfig) -> TraceSummary:
@@ -180,21 +182,23 @@ def fit_rate(
     the row-sum error when that is larger, above the plateau where such a
     network's states settle off the initial mean. The window ends at the
     least distance after the skip, as a plateau may drift up over a long
-    run. Raises NotSymmetric on an asymmetric matrix, whose consensus
-    value is not the initial mean, the `simulate_trajectory` errors on x0
-    and steps, NotConvergent when the states or their distance to
-    consensus overflow, and InsufficientData with fewer than 10 usable
-    points, e.g. when started at consensus, or when the fitted log
+    run. Raises the `simulate_trajectory` errors on x0 and steps and
+    NotConvergent when the states or their distance to consensus
+    overflow; then as `model_rate(eigendecompose_symmetric(A), model)`,
+    the fit's `model_rate`, does: NotSymmetric, as an asymmetric matrix
+    need not conserve the mean, and NotConvergent or DominantNotSimple
+    where the run has no rate. Last, InsufficientData with fewer than 10
+    usable points, e.g. when started at consensus, or when the fitted log
     distance moves by less than about 2.2e-3 over the window
     (`_FIT_MIN_CHANGE`), too little to tell a rate from 1.
     """
-    require_symmetric(A)
     traj = simulate_trajectory(A, model, x0, steps)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(traj - _mean(traj[0]), axis=1)
     if not np.isfinite(norms).all():
         k = np.argmin(np.isfinite(norms))
         raise NotConvergent(f"the distance to consensus overflows at step {k}")
+    rate = model_rate(eigendecompose_symmetric(A), model)
     k_start = int(np.ceil(FIT_SKIP_FRACTION * steps))
     row_error = float(np.linalg.norm(A.weights.sum(axis=1) - 1.0))
     floor = max(FIT_NORM_FLOOR, _FIT_ROW_SUM_FACTOR * row_error)
@@ -218,7 +222,7 @@ def fit_rate(
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(fitted_rate=float(np.exp(slope)), r_squared=r_squared, window=window)
+    return RateFit(float(np.exp(slope)), r_squared, window, rate)
 
 
 def random_symmetric_stochastic(n: int, seed: int) -> WeightedAdjacency:

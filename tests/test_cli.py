@@ -10,7 +10,9 @@ import consensuslab
 import scalar_reference as ref
 from conftest import bipartite_with_loops, bridged_cliques, relabelled_rings
 from consensuslab import (
+    cli,
     eigendecompose_symmetric,
+    fit_rate,
     make_ring,
     random_symmetric_stochastic,
     read_matrix,
@@ -369,6 +371,31 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert float(lines[2].split(":")[1]) < 1e-12
         assert lines[3].startswith("rate fit skipped: matrix is asymmetric")
+
+    def test_the_fit_owns_the_verdict_and_the_theory_rate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # simulate neither solves nor asks model_rate: one fit_rate call
+        def forbidden(*args):
+            raise AssertionError("simulate asked the library twice")
+
+        fits = []
+
+        def recorded(*args):
+            fits.append(fit_rate(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(cli, "eigendecompose_symmetric", forbidden)
+        monkeypatch.setattr(cli.analysis, "model_rate", forbidden)
+        monkeypatch.setattr(cli.sim, "fit_rate", recorded)
+        argv = ["simulate", "--ring", "4", "--self-loop", "0.1", "--model", "mla",
+                "--param", "0.85", "--out", str(tmp_path / "e.csv")]
+        assert main(argv) == 0
+        [fit] = fits
+        assert capsys.readouterr().out.splitlines()[3] == (
+            f"fitted decay rate: {fit.fitted_rate:.12g} (theory {fit.model_rate:.12g}, "
+            f"r^2 {fit.r_squared:.12g}, window {fit.window[0]}..{fit.window[1]})"
+        )
 
     def test_overflow_fails_loudly(self, tmp_path, capsys):
         out = tmp_path / "mla.csv"

@@ -10,6 +10,7 @@ from consensuslab import (
     AssumptionViolated,
     BadParameter,
     DimensionMismatch,
+    DominantNotSimple,
     InsufficientData,
     ModelParams,
     NormalizationFailed,
@@ -586,3 +587,57 @@ class TestFitWithoutDecay:
         fit = fit_rate(A, ModelParams.degroot(), [0.1, 0.9, 0.3, 0.5, 0.7, 0.2], 60)
         assert fit.window == (6, 60)
         assert fit.fitted_rate == pytest.approx(rho_ess(eigendecompose_symmetric(A)), rel=1e-9)
+
+
+class TestFitReadsTheModelRate:
+    """A fit asks `model_rate` once whether the run has a rate, after the
+    trajectory's checks, and carries the rate it is compared with."""
+
+    @pytest.mark.parametrize(
+        "A, model",
+        [
+            # without the verdict these fit 0.99953 (r^2 0.171) and 0.99900
+            # (r^2 0.161), rates of runs that never settle
+            (make_ring(10, 0.0), ModelParams.degroot()),
+            (make_ring(12, 0.0), ModelParams.accelerated(1.2)),
+            (make_ring(8, 0.0), ModelParams.mla(1.5)),
+        ],
+        ids=["degroot-ring10", "accelerated-ring12", "mla-ring8"],
+    )
+    def test_a_run_that_never_settles_has_no_rate(self, A, model):
+        with pytest.raises(NotConvergent) as want:
+            model_rate(eigendecompose_symmetric(A), model)
+        with pytest.raises(NotConvergent) as got:
+            fit_rate(A, model, sim._initial_state(0, 0, A.n), 100)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("model", [ModelParams.degroot(), ModelParams.mla(0.5)])
+    def test_a_reducible_network_has_no_rate(self, model):
+        # two 3-cliques settle on two values, not one
+        A = validate(np.kron(np.eye(2), np.full((3, 3), 1.0 / 3.0)))
+        with pytest.raises(DominantNotSimple):
+            fit_rate(A, model, sim._initial_state(0, 0, 6), 100)
+
+    @pytest.mark.parametrize(
+        "model",
+        [ModelParams.degroot(), ModelParams.accelerated(1.2), ModelParams.mla(0.5)],
+    )
+    @pytest.mark.parametrize("A", [make_ring(4, 0.1), random_symmetric_stochastic(40, 0)])
+    def test_the_fit_carries_the_model_rate(self, A, model):
+        fit = fit_rate(A, model, sim._initial_state(0, 0, A.n), 100)
+        want = model_rate(eigendecompose_symmetric(A), model)
+        assert fit.model_rate.hex() == want.hex()
+
+    def test_one_verdict_after_the_trajectory(self, monkeypatch, ring4_loops):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return model_rate(*args)
+
+        monkeypatch.setattr(sim, "model_rate", counted)
+        fit_rate(ring4_loops, ModelParams.degroot(), np.arange(4.0), 100)
+        assert len(calls) == 1
+        with pytest.raises(DimensionMismatch):
+            fit_rate(ring4_loops, ModelParams.degroot(), [0.5], 100)
+        assert len(calls) == 1
